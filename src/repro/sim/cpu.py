@@ -15,8 +15,9 @@ again.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.elf.binary import Perm
 from repro.isa.decoding import IllegalEncodingError, decode
@@ -74,10 +75,10 @@ DEFAULT_TRACE_THRESHOLD = 16
 class _Trace:
     """One recorded hot trace: superblocks chained across taken branches.
 
-    ``ops`` is a flat list of ``(pc, nxt, expected, instr, handler,
-    cost, cost_taken)`` — ``expected`` is the pc the recording observed
-    execution continuing at, so every former branch site doubles as a
-    guard: an op whose handler leaves ``cpu.pc`` anywhere other than
+    It is compiled from a flat op list of ``(pc, nxt, expected, instr,
+    handler, cost, cost_taken)`` — ``expected`` is the pc the recording
+    observed execution continuing at, so every former branch site doubles
+    as a guard: an op whose handler leaves ``cpu.pc`` anywhere other than
     ``expected`` side-exits the trace with the architectural state
     already exact (the op retired, the pc is wherever the branch really
     went).  ``loops`` marks a trace whose last op returns to ``entry``;
@@ -85,19 +86,18 @@ class _Trace:
     revalidating segment versions at every loop edge.
     """
 
-    __slots__ = ("entry", "ops", "n", "pcs", "ranges", "versions",
-                 "loops", "fn", "cyc")
+    __slots__ = ("entry", "n", "pcs", "ranges", "versions", "loops",
+                 "fn", "cyc")
 
     def __init__(self, entry, ops, ranges, versions, loops):
         self.entry = entry
-        self.ops = ops
         self.n = len(ops)
         self.pcs = tuple(op[0] for op in ops)
         self.ranges = ranges
         self.versions = versions
         self.loops = loops
-        self.fn = None   # exec-compiled pass function (trace_compile)
-        self.cyc = None  # per-op prefix cycle sums (compiled fault path)
+        # exec-compiled pass function; per-op prefix cycle sums (fault path)
+        self.fn, self.cyc = _compile_trace(ops)
 
 
 def _s(value: int) -> int:
@@ -117,7 +117,6 @@ class Cpu:
         block_cache: bool = True,
         trace_cache: bool = True,
         trace_threshold: int = DEFAULT_TRACE_THRESHOLD,
-        trace_compile: bool = True,
     ):
         self.space = space
         self.profile = profile
@@ -132,7 +131,8 @@ class Cpu:
         #: handlers attribute a fetch fault to the jump that caused it
         #: (e.g. a SMILE jalr whose gp was clobbered before recovery).
         self.last_pc: Optional[int] = None
-        #: Optional per-retired-instruction hook (see repro.sim.trace).
+        #: Optional per-retired-instruction hook (see
+        #: :mod:`repro.telemetry.exec_trace`).
         self.tracer = None
         #: Optional pre-fetch hook called with this cpu before every
         #: instruction; may raise a structured :class:`SimFault`.  The
@@ -171,10 +171,6 @@ class Cpu:
         #: Cached-superblock executions at one entry pc before a trace
         #: is recorded from it.
         self.trace_threshold = max(1, trace_threshold)
-        #: When True, registered traces are compiled to a single exec'd
-        #: Python closure (one function call per trace pass); when False
-        #: they run through the interpreted flat-op loop.
-        self.trace_compile = trace_compile
         # trace cache: entry pc -> _Trace
         self._tcache: dict[int, _Trace] = {}
         # hot-block profiler: superblock entry pc -> cached-hit count
@@ -285,11 +281,17 @@ class Cpu:
             instr = decode(seg.data, pc - seg.base, addr=pc)
         except IllegalEncodingError as exc:
             raise IllegalInstructionFault(pc, exc.kind, str(exc)) from exc
-        handler = _HANDLERS.get(instr.mnemonic)
-        if handler is None:
+        bind = _BINDERS.get(instr.mnemonic)
+        if bind is None and instr.mnemonic not in _VECTOR_HANDLERS:
             raise IllegalInstructionFault(pc, "unknown", f"no semantics for {instr.mnemonic}")
         if instr.extension not in self.profile.extensions:
             handler = _unsupported
+        elif bind is None:
+            handler = _VECTOR_HANDLERS[instr.mnemonic]
+        else:
+            # Operands bound once per decoded pc; absent ones read as x0/0.
+            handler = bind(instr.rd or 0, instr.rs1 or 0, instr.rs2 or 0,
+                           instr.imm or 0, pc, pc + instr.length)
         tag = self.tag_addrs.get(pc) if self.tag_addrs else None
         self._dcache[pc] = (instr, handler, tag, seg, seg.version)
         return instr, handler, tag
@@ -371,22 +373,20 @@ class Cpu:
                             if s.version != v:
                                 valid = False
                                 break
-                        if valid:
+                        if not valid:
+                            del tcache[pc]
+                            attempts.pop(pc, None)
+                            self.counters["traces_invalidated"] += 1
+                        elif remaining >= trace.n:
                             thits += 1
                             # Keep the histogram live after promotion so
                             # ``hot_blocks`` reports real dispatch counts,
                             # not counts saturated at the threshold.
                             hot[pc] = hot.get(pc, 0) + 1
-                            if trace.fn is not None and remaining >= trace.n:
-                                executed = self._exec_trace_compiled(
-                                    trace, remaining)
-                            else:
-                                executed = self._exec_trace(trace, remaining)
-                            remaining -= executed
+                            remaining -= self._run_trace(trace, remaining)
                             continue
-                        del tcache[pc]
-                        attempts.pop(pc, None)
-                        self.counters["traces_invalidated"] += 1
+                        # A budget tail shorter than one pass falls through
+                        # to the block tier, which stops at the budget.
                 block = bcache.get(pc)
                 if block is None or block[1].version != block[2]:
                     try:
@@ -443,13 +443,8 @@ class Cpu:
                 if ops:
                     break  # fault raised when execution actually gets there
                 raise
-            fn = handler
-            if handler is not _unsupported:
-                spec = _SPECIALIZERS.get(instr.mnemonic)
-                if spec is not None:
-                    fn = spec(instr) or handler
             nxt = cur + instr.length
-            ops.append((cur, nxt, instr, fn,
+            ops.append((cur, nxt, instr, handler,
                         instruction_cost(instr, taken=False),
                         instruction_cost(instr, taken=True)))
             if instr.mnemonic in _CTRL_MNEMONICS or handler is _unsupported:
@@ -590,84 +585,27 @@ class Cpu:
             for seg, version, _s_, _e_ in ranges:
                 if seg.version != version:
                     return total  # code changed mid-recording: discard
-            trace = _Trace(entry, flat, ranges, versions, loops)
-            if self.trace_compile:
-                trace.fn, trace.cyc = _compile_trace(flat)
-            self._tcache[entry] = trace
+            self._tcache[entry] = _Trace(entry, flat, ranges, versions, loops)
             attempts.pop(entry, None)
             self.counters["traces_compiled"] += 1
         return total
 
-    def _exec_trace(self, trace: _Trace, limit: int) -> int:
-        """Interpret up to *limit* ops of one trace; returns retired count.
-
-        Each op sets ``pc`` to its fall-through before the handler runs
-        (exactly like :meth:`_exec_block`), then checks the recorded
-        continuation: a mismatch is a guard side exit — the op has
-        retired and ``pc`` already points where execution really went,
-        so the generic dispatcher just resumes there.  Looping traces
-        replay without leaving this frame, revalidating segment versions
-        at every loop edge so W|X stores keep bit-identical semantics
-        with the block tier.
-        """
-        ops = trace.ops
-        n = trace.n
-        pcs = trace.pcs
-        loops = trace.loops
-        versions = trace.versions
-        executed = 0
-        cycles = 0
-        side = 0
-        pc = self.pc
-        try:
-            while True:
-                ops_run = ops if n <= limit - executed else ops[:limit - executed]
-                diverged = False
-                for pc, nxt, expected, instr, handler, cost, cost_taken in ops_run:
-                    self.pc = nxt
-                    if handler(self, instr):
-                        cycles += cost_taken
-                    else:
-                        cycles += cost
-                    executed += 1
-                    if self.pc != expected:
-                        diverged = True
-                        break
-                if diverged:
-                    side = 1
-                    break
-                if not loops or executed >= limit:
-                    break
-                stale = False
-                for s, v in versions:
-                    if s.version != v:
-                        stale = True
-                        break
-                if stale:
-                    break
-        except SimFault as fault:
-            self.pc = pc
-            self._commit_trace(executed, cycles, pcs, side)
-            if fault.pc is None:
-                fault.pc = pc
-            if self.fault_hook is not None:
-                self.fault_hook(self, fault)
-            raise
-        except Exception:
-            self.pc = pc
-            self._commit_trace(executed, cycles, pcs, side)
-            raise
-        self._commit_trace(executed, cycles, pcs, side)
-        return executed
-
-    def _exec_trace_compiled(self, trace: _Trace, limit: int) -> int:
+    def _run_trace(self, trace: _Trace, limit: int) -> int:
         """Run whole passes of a compiled trace; returns retired count.
 
+        Each pass retires ops exactly as :meth:`_exec_block` would, then
+        checks the recorded continuation at every former branch: a
+        mismatch is a guard side exit — the op has retired and ``pc``
+        already points where execution really went, so the dispatcher
+        just resumes there.  Looping traces replay without leaving this
+        frame, revalidating segment versions at every loop edge so W|X
+        stores keep bit-identical semantics with the block tier.
+
         The caller guarantees ``limit >= trace.n`` so at least one full
-        pass fits; partial passes (budget tail) go through the
-        interpreted path instead.  On a fault the pass function left the
-        faulting op index in ``_trace_ex``; the recorded prefix cycle
-        sums reconstruct the exact partial accounting.
+        pass fits; a shorter budget tail runs on the block tier instead.
+        On a fault the pass function left the faulting op index in
+        ``_trace_ex``; the recorded prefix cycle sums reconstruct the
+        exact partial accounting.
         """
         fn = trace.fn
         n = trace.n
@@ -756,81 +694,6 @@ def _trace_store_slow(cpu: Cpu, cell: list, addr: int, data: bytes) -> None:
 #: Sign bit for the xor trick: (a ^ SB) < (b ^ SB) unsigned ⇔ a <s b.
 _SB = 0x8000_0000_0000_0000
 
-#: Branch conditions over the register-file local ``r``, by mnemonic:
-#: (condition source, negated condition source).
-_BRANCH_SRC = {
-    "beq": ("r[{a}] == r[{b}]", "r[{a}] != r[{b}]"),
-    "bne": ("r[{a}] != r[{b}]", "r[{a}] == r[{b}]"),
-    "bltu": ("r[{a}] < r[{b}]", "r[{a}] >= r[{b}]"),
-    "bgeu": ("r[{a}] >= r[{b}]", "r[{a}] < r[{b}]"),
-    "blt": (f"(r[{{a}}] ^ {_SB}) < (r[{{b}}] ^ {_SB})",
-            f"(r[{{a}}] ^ {_SB}) >= (r[{{b}}] ^ {_SB})"),
-    "bge": (f"(r[{{a}}] ^ {_SB}) >= (r[{{b}}] ^ {_SB})",
-            f"(r[{{a}}] ^ {_SB}) < (r[{{b}}] ^ {_SB})"),
-    "c.beqz": ("r[{a}] == 0", "r[{a}] != 0"),
-    "c.bnez": ("r[{a}] != 0", "r[{a}] == 0"),
-}
-
-#: Register-register ALU expression bodies over operands {a}/{b}; the
-#: result is masked like set_reg.  Covers the generic-handler and
-#: compressed aliases that share field layout.
-_RR_SRC = {
-    "add": "(r[{a}] + r[{b}])",
-    "sub": "(r[{a}] - r[{b}])",
-    "c.sub": "(r[{a}] - r[{b}])",
-    "and": "(r[{a}] & r[{b}])",
-    "c.and": "(r[{a}] & r[{b}])",
-    "or": "(r[{a}] | r[{b}])",
-    "c.or": "(r[{a}] | r[{b}])",
-    "xor": "(r[{a}] ^ r[{b}])",
-    "c.xor": "(r[{a}] ^ r[{b}])",
-    "mul": "(r[{a}] * r[{b}])",
-    "sll": "(r[{a}] << (r[{b}] & 63))",
-    "srl": "(r[{a}] >> (r[{b}] & 63))",
-    "sra": f"((((r[{{a}}] ^ {_SB}) - {_SB}) >> (r[{{b}}] & 63)))",
-    "sh1add": "((r[{a}] << 1) + r[{b}])",
-    "sh2add": "((r[{a}] << 2) + r[{b}])",
-    "sh3add": "((r[{a}] << 3) + r[{b}])",
-}
-
-#: Immediate-shift expression bodies over operand {a} / literal {sh}.
-_SHIFT_SRC = {
-    "slli": "(r[{a}] << {sh})",
-    "c.slli": "(r[{a}] << {sh})",
-    "srli": "(r[{a}] >> {sh})",
-    "c.srli": "(r[{a}] >> {sh})",
-    "srai": f"(((r[{{a}}] ^ {_SB}) - {_SB}) >> {{sh}})",
-    "c.srai": f"(((r[{{a}}] ^ {_SB}) - {_SB}) >> {{sh}})",
-}
-
-#: Logic-immediate expression bodies ({imm} already masked to 64 bits).
-_LOGIC_IMM_SRC = {
-    "andi": "(r[{a}] & {imm})",
-    "c.andi": "(r[{a}] & {imm})",
-    "ori": "(r[{a}] | {imm})",
-    "xori": "(r[{a}] ^ {imm})",
-}
-
-_ADDI_MNEMONICS = frozenset({"addi", "c.addi", "c.addi4spn"})
-_ADDIW_MNEMONICS = frozenset({"addiw", "c.addiw"})
-
-#: Loads: mnemonic -> (width bytes, signed).
-_LOAD_SRC = {
-    "lb": (1, True), "lh": (2, True), "lw": (4, True), "ld": (8, True),
-    "lbu": (1, False), "lhu": (2, False), "lwu": (4, False),
-    "c.lw": (4, True), "c.ld": (8, True),
-    "c.lwsp": (4, True), "c.ldsp": (8, True),
-}
-
-#: Stores: mnemonic -> width bytes.
-_STORE_SRC = {
-    "sb": 1, "sh": 2, "sw": 4, "sd": 8,
-    "c.sw": 4, "c.sd": 8, "c.swsp": 4, "c.sdsp": 8,
-}
-
-#: Ops with no architectural effect: compiled to nothing (cost folded).
-_NOP_MNEMONICS = frozenset({"fence", "c.nop"})
-
 #: Vector unit-stride memory ops: mnemonic -> element bits.
 _VLOAD_SRC = {"vle32.v": 32, "vle64.v": 64}
 _VSTORE_SRC = {"vse32.v": 32, "vse64.v": 64}
@@ -863,10 +726,11 @@ def _trace_vmem_prime(cpu: Cpu, cell: list, addr: int, write: bool) -> None:
 def _compile_trace(ops: list) -> tuple[Callable, tuple]:
     """Compile a trace's flat op list into one exec'd pass function.
 
-    This is the trace tier's specialization level above ``_SPECIALIZERS``:
-    instead of calling per-op closures, the hot RV64 subset is inlined
-    as direct register-file expressions (``r[rd] = (r[rs1] + imm) & M``),
-    loads/stores get a per-op segment inline cache (bounds-checked slice
+    Instead of calling each op's bound closure, every scalar op is
+    inlined from its ``_SEMANTICS`` entry with literal operands, so
+    constant folding leaves direct register-file expressions
+    (``r[5] = (r[6] + 8) & M``); loads/stores get a per-op segment
+    inline cache (bounds-checked slice
     access against the resolved segment's backing bytearray, miss/fault
     through the full permission-checked path), conditional branches
     compile to native ``if`` guards on their recorded direction, and
@@ -878,14 +742,13 @@ def _compile_trace(ops: list) -> tuple[Callable, tuple]:
     set ``cpu.pc`` to wherever execution really went before returning.
     Faults escape with the faulting op's index in ``cpu._trace_ex``; the
     caller combines it with the returned prefix-cycle table to settle
-    partial state exactly.  Anything outside the inlined subset (vector,
-    mulh/div families, W-ops) falls back to calling its superblock
-    handler — same semantics, one call deeper.
+    partial state exactly.  Vector ops outside the inlined subset (and
+    traps, which never complete a recording) call their handler — same
+    semantics, one call deeper.
     """
     from repro.isa.encoding import decode_vtype
 
     n = len(ops)
-    M = _MASK64
     head = ["def _make(OPS, LD, ST, VM):"]
     body = ["    def _pass(cpu, length=len, FB=int.from_bytes):",
             "        r = cpu.regs",
@@ -900,174 +763,59 @@ def _compile_trace(ops: list) -> tuple[Callable, tuple]:
         prefix.append(cyc)
         m = instr.mnemonic
         rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        if m in _NOP_MNEMONICS:
-            cyc += cost
-            continue
-        if m in _ADDI_MNEMONICS:
-            if rd:
-                if imm == 0:
-                    A(f"{E}r[{rd}] = r[{rs1}]" if rs1 else f"{E}r[{rd}] = 0")
-                elif rs1 == 0:
-                    A(f"{E}r[{rd}] = {imm & M}")
-                else:
-                    A(f"{E}r[{rd}] = (r[{rs1}] + {imm}) & {M}")
-            cyc += cost
-            continue
-        if m in _RR_SRC:
-            if rd:
-                expr = _RR_SRC[m].format(a=rs1, b=rs2)
-                A(f"{E}r[{rd}] = {expr} & {M}")
-            cyc += cost
-            continue
-        if m in _LOAD_SRC:
-            width, signed = _LOAD_SRC[m]
-            bits = width * 8
-            addr_src = (f"(r[{rs1}] + {imm}) & {M}" if imm else f"r[{rs1}]")
-            A(f"{E}a = {addr_src}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
-            A(f"{E}    v = FB(d[o:o + {width}], 'little')")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    v = LD(cpu, C{k}, a, {width})")
-            if rd:
-                if signed and bits < 64:
-                    sign = 1 << (bits - 1)
-                    ext = M ^ ((1 << bits) - 1)
-                    A(f"{E}r[{rd}] = v | {ext} if v & {sign} else v")
-                else:
-                    A(f"{E}r[{rd}] = v")
-            H(f"    C{k} = [0, None]")
-            cyc += cost
-            continue
-        if m in _STORE_SRC:
-            width = _STORE_SRC[m]
-            val_src = (f"r[{rs2}]" if width == 8
-                       else f"(r[{rs2}] & {(1 << (width * 8)) - 1})")
-            addr_src = (f"(r[{rs1}] + {imm}) & {M}" if imm else f"r[{rs1}]")
-            A(f"{E}a = {addr_src}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
-            A(f"{E}    d[o:o + {width}] = {val_src}.to_bytes({width}, 'little')")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    ST(cpu, C{k}, a, {val_src}.to_bytes({width}, 'little'))")
-            H(f"    C{k} = [0, None]")
-            cyc += cost
-            continue
-        if m in _SHIFT_SRC:
-            if rd:
-                expr = _SHIFT_SRC[m].format(a=rs1, sh=imm)
-                A(f"{E}r[{rd}] = {expr} & {M}")
-            cyc += cost
-            continue
-        if m in _LOGIC_IMM_SRC:
-            if rd:
-                expr = _LOGIC_IMM_SRC[m].format(a=rs1, imm=imm & M)
-                A(f"{E}r[{rd}] = {expr}")
-            cyc += cost
-            continue
-        if m in _BRANCH_SRC:
-            cond, ncond = _BRANCH_SRC[m]
-            target = (instr.addr + imm) & M
-            if expected != nxt:  # recorded taken: not-taken side-exits
-                A(f"{E}if {ncond.format(a=rs1, b=rs2)}:")
-                A(f"{E}    cpu.pc = {nxt}")
-                A(f"{E}    return ({k + 1}, {cyc + cost}, True)")
-                cyc += cost_taken
-            else:  # recorded not-taken: taken side-exits
-                A(f"{E}if {cond.format(a=rs1, b=rs2)}:")
-                A(f"{E}    cpu.pc = {target}")
-                A(f"{E}    return ({k + 1}, {cyc + cost_taken}, True)")
-                cyc += cost
-            continue
-        if m in ("jal", "c.j"):
-            # Direct jump: statically followed; only the link survives.
-            if m == "jal" and rd:
-                A(f"{E}r[{rd}] = {instr.addr + 4}")
-            cyc += cost
-            continue
-        if m in _INDIRECT_JUMPS:
-            if m == "jalr":
-                if imm:
-                    A(f"{E}t = (r[{rs1}] + {imm}) & {M ^ 1}")
-                else:
-                    A(f"{E}t = r[{rs1}] & {M ^ 1}")
+        inline = _INLINE.get(m)
+        if inline is not None and inline[0] != "trap":
+            kind, expr, value, width = inline
+            lit = {"rd": rd or 0, "rs1": rs1 or 0, "rs2": rs2 or 0,
+                   "imm": imm or 0, "addr": pc, "nxt": nxt}
+            if kind == "alu":
                 if rd:
-                    A(f"{E}r[{rd}] = {instr.addr + 4}")
-            elif m == "c.jr":
-                A(f"{E}t = r[{rs1}] & {M ^ 1}")
-            else:  # c.jalr
-                A(f"{E}t = r[{rs1}] & {M ^ 1}")
-                A(f"{E}r[1] = {instr.addr + 2}")
-            cyc += cost
-            A(f"{E}if t != {expected}:")
-            A(f"{E}    cpu.pc = t")
-            A(f"{E}    return ({k + 1}, {cyc}, True)")
-            continue
-        if m in _ADDIW_MNEMONICS:
-            if rd:
-                A(f"{E}v = (r[{rs1}] + {imm}) & {_MASK32}")
-                A(f"{E}r[{rd}] = v | {M ^ _MASK32} if v & {1 << 31} else v")
-            cyc += cost
-            continue
-        if m == "c.addi16sp":
-            A(f"{E}r[2] = (r[2] + {imm}) & {M}")
-            cyc += cost
-            continue
-        if m in ("lui", "c.lui", "c.li", "auipc"):
-            if rd:
-                if m == "lui":
-                    value = sign_extend(imm << 12, 32) & M
-                elif m == "c.lui":
-                    value = sign_extend((imm & 0x3F) << 12, 18) & M
-                elif m == "c.li":
-                    value = imm & M
+                    A(f"{E}r[{rd}] = {_lit(expr, lit)}")
+            elif kind in ("load", "store"):
+                A(f"{E}a = {_lit(expr, lit)}")
+                A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
+                A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
+                if kind == "load":
+                    A(f"{E}    v = FB(d[o:o + {width}], 'little')")
+                    A(f"{E}else:")
+                    A(f"{E}    ex = {k}")
+                    A(f"{E}    v = LD(cpu, C{k}, a, {width})")
+                    if rd:
+                        A(f"{E}r[{rd}] = {value}")
                 else:
-                    value = (instr.addr + sign_extend(imm << 12, 32)) & M
-                A(f"{E}r[{rd}] = {value}")
-            cyc += cost
-            continue
-        if m == "c.mv":
-            if rd:
-                A(f"{E}r[{rd}] = r[{rs2}]")
-            cyc += cost
-            continue
-        if m == "c.add":
-            if rd:
-                A(f"{E}r[{rd}] = (r[{rd}] + r[{rs2}]) & {M}")
-            cyc += cost
-            continue
-        if m == "slti":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if (r[{rs1}] ^ {_SB}) < {(imm & M) ^ _SB} else 0")
-            cyc += cost
-            continue
-        if m == "sltiu":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if r[{rs1}] < {imm & M} else 0")
-            cyc += cost
-            continue
-        if m == "slt":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if (r[{rs1}] ^ {_SB}) < (r[{rs2}] ^ {_SB}) else 0")
-            cyc += cost
-            continue
-        if m == "sltu":
-            if rd:
-                A(f"{E}r[{rd}] = 1 if r[{rs1}] < r[{rs2}] else 0")
-            cyc += cost
-            continue
-        if m == "divu":
-            if rd:
-                A(f"{E}b = r[{rs2}]")
-                A(f"{E}r[{rd}] = {M} if b == 0 else r[{rs1}] // b")
-            cyc += cost
-            continue
-        if m == "remu":
-            if rd:
-                A(f"{E}b = r[{rs2}]")
-                A(f"{E}r[{rd}] = r[{rs1}] if b == 0 else r[{rs1}] % b")
+                    data = f"({_lit(value, lit)}).to_bytes({width}, 'little')"
+                    A(f"{E}    d[o:o + {width}] = {data}")
+                    A(f"{E}else:")
+                    A(f"{E}    ex = {k}")
+                    A(f"{E}    ST(cpu, C{k}, a, {data})")
+                H(f"    C{k} = [0, None]")
+            elif kind == "branch":
+                cond = _lit(expr, lit)
+                if expected != nxt:  # recorded taken: not-taken side-exits
+                    A(f"{E}if not ({cond}):")
+                    A(f"{E}    cpu.pc = {nxt}")
+                    A(f"{E}    return ({k + 1}, {cyc + cost}, True)")
+                    cyc += cost_taken
+                else:  # recorded not-taken: taken side-exits
+                    A(f"{E}if {cond}:")
+                    A(f"{E}    cpu.pc = {_PCREL_INLINE.format_map(lit)}")
+                    A(f"{E}    return ({k + 1}, {cyc + cost_taken}, True)")
+                    cyc += cost
+                continue
+            elif kind == "jump":
+                # A direct jump is followed statically: only the link
+                # survives.  An indirect one guards its computed target.
+                indirect = m in _INDIRECT_JUMPS
+                if indirect:
+                    A(f"{E}t = {_lit(expr, lit)}")
+                if rd:
+                    A(f"{E}r[{rd}] = {nxt}")
+                if indirect:
+                    cyc += cost
+                    A(f"{E}if t != {expected}:")
+                    A(f"{E}    cpu.pc = t")
+                    A(f"{E}    return ({k + 1}, {cyc}, True)")
+                    continue
             cyc += cost
             continue
         if m == "vsetvli":
@@ -1202,7 +950,7 @@ def _compile_trace(ops: list) -> tuple[Callable, tuple]:
             _TRACE_CODE_MEMO.clear()
         code = compile(src, "<trace>", "exec")
         _TRACE_CODE_MEMO[src] = code
-    ns: dict = {}
+    ns = dict(_TEMPLATE_GLOBALS)
     exec(code, ns)  # noqa: S102 - trusted, self-generated
     return (ns["_make"](ops, _trace_load_slow, _trace_store_slow,
                         _trace_vmem_prime),
@@ -1219,8 +967,33 @@ _TRACE_CODE_MEMO: dict[str, object] = {}
 
 
 # ---------------------------------------------------------------------------
-# Instruction semantics.  Handlers take (cpu, instr), return truthy when a
-# conditional branch is taken (for the cost model).
+# Instruction semantics.
+#
+# Every scalar mnemonic has exactly one entry in ``_SEMANTICS``: a template
+# over the symbolic operands ``rd``, ``rs1``, ``rs2``, ``imm``, ``addr`` (the
+# instruction's own pc) and ``nxt`` (its fall-through pc), with ``r``
+# standing for the register file and ``M``/``M32``/``MJ``/``SB``/``S31``
+# for the constants in ``_TEMPLATE_CONSTS``.  Results are masked to 64
+# bits, so every register value stays in range and x0 (never written)
+# reads as 0; the emitters, not the templates, drop writes to x0.
+#
+# Two emitters are generated from the table:
+#
+# * ``_BINDERS`` — one closure factory per entry, all compiled at import
+#   with a single ``compile``.  The decode cache calls it once per decoded
+#   pc to bind the operands; ``step()`` and the block tier both call the
+#   bound closure ``op(cpu, instr)``, which returns True for a taken branch.
+#   Groups written in braces, ``{...}``, read operands only (a branch
+#   target, a ``lui`` constant) and are evaluated once, at bind time.
+# * ``_INLINE`` — format strings the trace compiler fills with literal
+#   operands, so constant folding (braces become parentheses) leaves only
+#   the register and memory work.
+#
+# Loads and stores take address, width and sign extension from the entry;
+# each tier keeps its own access path: the permission-checked
+# ``space.read``/``space.write`` for closures, a segment inline cache with
+# that same path as its slow path for traces.  Vector instructions keep
+# hand-written handlers (``_VECTOR_HANDLERS``), which traces inline or call.
 # ---------------------------------------------------------------------------
 
 def _unsupported(cpu: Cpu, i: Instruction):
@@ -1231,114 +1004,8 @@ def _unsupported(cpu: Cpu, i: Instruction):
     )
 
 
-def _exec_lui(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend(i.imm << 12, 32))
-
-
-def _exec_auipc(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, (i.addr + sign_extend(i.imm << 12, 32)) & _MASK64)
-
-
-def _exec_jal(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, i.addr + 4)
-    cpu.pc = (i.addr + i.imm) & _MASK64
-
-
-def _exec_jalr(cpu: Cpu, i: Instruction):
-    target = (cpu.get_reg(i.rs1) + i.imm) & _MASK64 & ~1
-    cpu.set_reg(i.rd, i.addr + 4)
-    cpu.pc = target
-
-
-def _branch(op):
-    def handler(cpu: Cpu, i: Instruction):
-        if op(cpu.get_reg(i.rs1), cpu.get_reg(i.rs2)):
-            cpu.pc = (i.addr + i.imm) & _MASK64
-            return True
-        return False
-    return handler
-
-
-def _exec_load(width: int, signed: bool):
-    def handler(cpu: Cpu, i: Instruction):
-        addr = (cpu.get_reg(i.rs1) + i.imm) & _MASK64
-        raw = cpu.space.read(addr, width)
-        value = int.from_bytes(raw, "little")
-        if signed:
-            value = sign_extend(value, width * 8) & _MASK64
-        cpu.set_reg(i.rd, value)
-    return handler
-
-
-def _exec_store(width: int):
-    def handler(cpu: Cpu, i: Instruction):
-        addr = (cpu.get_reg(i.rs1) + i.imm) & _MASK64
-        cpu.space.write(addr, (cpu.get_reg(i.rs2) & ((1 << (width * 8)) - 1)).to_bytes(width, "little"))
-    return handler
-
-
-def _exec_addi(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) + i.imm)
-
-
-def _exec_addiw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((cpu.get_reg(i.rs1) + i.imm) & _MASK32, 32))
-
-
-def _exec_slti(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, 1 if _s(cpu.get_reg(i.rs1)) < i.imm else 0)
-
-
-def _exec_sltiu(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, 1 if cpu.get_reg(i.rs1) < (i.imm & _MASK64) else 0)
-
-
-def _exec_xori(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) ^ (i.imm & _MASK64))
-
-
-def _exec_ori(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) | (i.imm & _MASK64))
-
-
-def _exec_andi(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) & (i.imm & _MASK64))
-
-
-def _exec_slli(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) << i.imm)
-
-
-def _exec_srli(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs1) >> i.imm)
-
-
-def _exec_srai(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, _s(cpu.get_reg(i.rs1)) >> i.imm)
-
-
-def _exec_slliw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((cpu.get_reg(i.rs1) << i.imm) & _MASK32, 32))
-
-
-def _exec_srliw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((cpu.get_reg(i.rs1) & _MASK32) >> i.imm, 32))
-
-
-def _exec_sraiw(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend(cpu.get_reg(i.rs1) & _MASK32, 32) >> i.imm)
-
-
-def _rr(op):
-    def handler(cpu: Cpu, i: Instruction):
-        cpu.set_reg(i.rd, op(cpu.get_reg(i.rs1), cpu.get_reg(i.rs2)))
-    return handler
-
-
-def _rrw(op):
-    def handler(cpu: Cpu, i: Instruction):
-        cpu.set_reg(i.rd, sign_extend(op(cpu.get_reg(i.rs1), cpu.get_reg(i.rs2)) & _MASK32, 32))
-    return handler
+def _nop(cpu: Cpu, _i: Instruction):
+    return None
 
 
 def _div(a: int, b: int) -> int:
@@ -1381,70 +1048,275 @@ def _remw(a: int, b: int) -> int:
     return (-r if aw < 0 else r) & _MASK32
 
 
-def _exec_ecall(cpu: Cpu, i: Instruction):
-    raise EcallTrap(i.addr)
+class _Sem(NamedTuple):
+    """One scalar mnemonic's semantics.
+
+    ``kind`` is ``alu`` (``expr`` is the value written to rd), ``load``/
+    ``store`` (``expr`` is the effective address), ``branch`` (``expr`` is
+    the taken condition; the target is ``_PCREL``), ``jump`` (``expr`` is
+    the target; rd receives ``nxt``), ``trap`` (``expr`` is a raise
+    statement) or ``nop``.
+    """
+
+    kind: str
+    expr: str = ""
+    width: int = 0
+    signed: bool = False
 
 
-def _exec_ebreak(cpu: Cpu, i: Instruction):
-    raise BreakpointTrap(i.addr, compressed=i.length == 2)
+_TEMPLATE_CONSTS = {"M": _MASK64, "M32": _MASK32, "MJ": _MASK64 ^ 1,
+                    "SB": _SB, "S31": 1 << 31}
+
+#: Effective address of every load and store; target of every branch.
+_ADDR = "(r[rs1] + imm) & M"
+_PCREL = "{(addr + imm) & M}"
 
 
-def _exec_fence(cpu: Cpu, i: Instruction):
-    return None
+def _sx32(e: str) -> str:
+    """Template: low 32 bits of *e*, sign-extended (a signed value)."""
+    return f"(((({e}) & M32) ^ S31) - S31)"
 
 
-# -- compressed --------------------------------------------------------------
-
-def _exec_c_nop(cpu: Cpu, i: Instruction):
-    return None
-
-
-def _exec_c_j(cpu: Cpu, i: Instruction):
-    cpu.pc = (i.addr + i.imm) & _MASK64
+def _w(e: str) -> str:
+    """Template: a W-form result, *e* truncated to 32 bits and sign-extended."""
+    return f"{_sx32(e)} & M"
 
 
-def _exec_c_jr(cpu: Cpu, i: Instruction):
-    cpu.pc = cpu.get_reg(i.rs1) & ~1
+def _k(e: str) -> str:
+    """Template: *e* (over operands only) as a bind-time group."""
+    return f"{{{e}}}"
 
 
-def _exec_c_jalr(cpu: Cpu, i: Instruction):
-    target = cpu.get_reg(i.rs1) & ~1
-    cpu.set_reg(1, i.addr + 2)
-    cpu.pc = target
+def _alu(expr: str) -> _Sem:
+    return _Sem("alu", expr)
 
 
-def _exec_c_beqz(cpu: Cpu, i: Instruction):
-    if cpu.get_reg(i.rs1) == 0:
-        cpu.pc = (i.addr + i.imm) & _MASK64
-        return True
-    return False
+def _branch(cond: str) -> _Sem:
+    return _Sem("branch", cond)
 
 
-def _exec_c_bnez(cpu: Cpu, i: Instruction):
-    if cpu.get_reg(i.rs1) != 0:
-        cpu.pc = (i.addr + i.imm) & _MASK64
-        return True
-    return False
+def _load(width: int, signed: bool = True) -> _Sem:
+    return _Sem("load", _ADDR, width, signed)
 
 
-def _exec_c_li(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, i.imm)
+def _store(width: int) -> _Sem:
+    return _Sem("store", _ADDR, width)
 
 
-def _exec_c_lui(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, sign_extend((i.imm & 0x3F) << 12, 18))
+_SEMANTICS: dict[str, _Sem] = {
+    "lui": _alu(_k(_w("imm << 12"))),
+    "auipc": _alu(_k(f"(addr + {_sx32('imm << 12')}) & M")),
+    "jal": _Sem("jump", _PCREL),
+    "jalr": _Sem("jump", "(r[rs1] + imm) & MJ"),
+    "beq": _branch("r[rs1] == r[rs2]"),
+    "bne": _branch("r[rs1] != r[rs2]"),
+    "blt": _branch("(r[rs1] ^ SB) < (r[rs2] ^ SB)"),
+    "bge": _branch("(r[rs1] ^ SB) >= (r[rs2] ^ SB)"),
+    "bltu": _branch("r[rs1] < r[rs2]"),
+    "bgeu": _branch("r[rs1] >= r[rs2]"),
+    "lb": _load(1), "lh": _load(2), "lw": _load(4), "ld": _load(8),
+    "lbu": _load(1, False), "lhu": _load(2, False), "lwu": _load(4, False),
+    "sb": _store(1), "sh": _store(2), "sw": _store(4), "sd": _store(8),
+    "addi": _alu("(r[rs1] + imm) & M"),
+    "addiw": _alu(_w("r[rs1] + imm")),
+    "slti": _alu("1 if (r[rs1] ^ SB) < {(imm & M) ^ SB} else 0"),
+    "sltiu": _alu("1 if r[rs1] < {imm & M} else 0"),
+    "xori": _alu("r[rs1] ^ {imm & M}"),
+    "ori": _alu("r[rs1] | {imm & M}"),
+    "andi": _alu("r[rs1] & {imm & M}"),
+    "slli": _alu("(r[rs1] << imm) & M"),
+    "srli": _alu("r[rs1] >> imm"),
+    "srai": _alu("(((r[rs1] ^ SB) - SB) >> imm) & M"),
+    "slliw": _alu(_w("r[rs1] << imm")),
+    "srliw": _alu(_w("(r[rs1] & M32) >> imm")),
+    "sraiw": _alu(f"({_sx32('r[rs1]')} >> imm) & M"),
+    "add": _alu("(r[rs1] + r[rs2]) & M"),
+    "sub": _alu("(r[rs1] - r[rs2]) & M"),
+    "sll": _alu("(r[rs1] << (r[rs2] & 63)) & M"),
+    "slt": _alu("1 if (r[rs1] ^ SB) < (r[rs2] ^ SB) else 0"),
+    "sltu": _alu("1 if r[rs1] < r[rs2] else 0"),
+    "xor": _alu("r[rs1] ^ r[rs2]"),
+    "srl": _alu("r[rs1] >> (r[rs2] & 63)"),
+    "sra": _alu("(((r[rs1] ^ SB) - SB) >> (r[rs2] & 63)) & M"),
+    "or": _alu("r[rs1] | r[rs2]"),
+    "and": _alu("r[rs1] & r[rs2]"),
+    "addw": _alu(_w("r[rs1] + r[rs2]")),
+    "subw": _alu(_w("r[rs1] - r[rs2]")),
+    "sllw": _alu(_w("r[rs1] << (r[rs2] & 31)")),
+    "srlw": _alu(_w("(r[rs1] & M32) >> (r[rs2] & 31)")),
+    "sraw": _alu(f"({_sx32('r[rs1]')} >> (r[rs2] & 31)) & M"),
+    "mul": _alu("(r[rs1] * r[rs2]) & M"),
+    "mulh": _alu("((((r[rs1] ^ SB) - SB) * ((r[rs2] ^ SB) - SB)) >> 64) & M"),
+    "mulhsu": _alu("((((r[rs1] ^ SB) - SB) * r[rs2]) >> 64) & M"),
+    "mulhu": _alu("(r[rs1] * r[rs2]) >> 64"),
+    "div": _alu("_div(r[rs1], r[rs2])"),
+    "divu": _alu("r[rs1] // r[rs2] if r[rs2] else M"),
+    "rem": _alu("_rem(r[rs1], r[rs2])"),
+    "remu": _alu("r[rs1] % r[rs2] if r[rs2] else r[rs1]"),
+    "mulw": _alu(_w("r[rs1] * r[rs2]")),
+    "divw": _alu(_w("_divw(r[rs1], r[rs2])")),
+    "divuw": _alu(_w("(r[rs1] & M32) // (r[rs2] & M32) if r[rs2] & M32 else M32")),
+    "remw": _alu(_w("_remw(r[rs1], r[rs2])")),
+    "remuw": _alu(_w("(r[rs1] & M32) % (r[rs2] & M32) if r[rs2] & M32 else r[rs1]")),
+    "sh1add": _alu("((r[rs1] << 1) + r[rs2]) & M"),
+    "sh2add": _alu("((r[rs1] << 2) + r[rs2]) & M"),
+    "sh3add": _alu("((r[rs1] << 3) + r[rs2]) & M"),
+    "ecall": _Sem("trap", "raise EcallTrap(addr)"),
+    "ebreak": _Sem("trap", "raise BreakpointTrap(addr, compressed={nxt - addr == 2})"),
+    "fence": _Sem("nop"),
+    "c.li": _alu("{imm & M}"),
+    "c.lui": _alu("{((((imm & 63) << 12) ^ 131072) - 131072) & M}"),
+    "c.mv": _alu("r[rs2]"),
+    "c.beqz": _branch("r[rs1] == 0"),
+    "c.bnez": _branch("r[rs1] != 0"),
+}
+
+#: Compressed forms that share a base entry: the decoder fills their
+#: implicit operands (rs1 = rd, sp as base, ra as link, x0 when absent).
+for _c, _base in {
+    "c.nop": "fence", "c.ebreak": "ebreak",
+    "c.addi": "addi", "c.addi4spn": "addi", "c.addi16sp": "addi",
+    "c.addiw": "addiw", "c.slli": "slli", "c.srli": "srli", "c.srai": "srai",
+    "c.andi": "andi", "c.add": "add", "c.sub": "sub", "c.xor": "xor",
+    "c.or": "or", "c.and": "and", "c.subw": "subw", "c.addw": "addw",
+    "c.j": "jal", "c.jr": "jalr", "c.jalr": "jalr",
+    "c.lw": "lw", "c.ld": "ld", "c.lwsp": "lw", "c.ldsp": "ld",
+    "c.sw": "sw", "c.sd": "sd", "c.swsp": "sw", "c.sdsp": "sd",
+}.items():
+    _SEMANTICS[_c] = _SEMANTICS[_base]
+
+_OPERANDS = ("rd", "rs1", "rs2", "imm", "addr", "nxt")
+_OPERAND_RE = re.compile(r"\b(" + "|".join(_OPERANDS) + r")\b")
+_CONST_RE = re.compile(r"\b(" + "|".join(_TEMPLATE_CONSTS) + r")\b")
+#: Names a closure binds as defaults: operands and bind-time groups.
+_BOUND_RE = re.compile(r"\b(?:" + "|".join(_OPERANDS) + r"|k\d+)\b")
+#: A bind-time group: ``{expr}`` over operands and constants only.
+_LET_RE = re.compile(r"\{([^{}]*)\}")
 
 
-def _exec_c_mv(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rs2))
+def _consts(text: str) -> str:
+    return _CONST_RE.sub(lambda mt: str(_TEMPLATE_CONSTS[mt[1]]), text)
 
 
-def _exec_c_add(cpu: Cpu, i: Instruction):
-    cpu.set_reg(i.rd, cpu.get_reg(i.rd) + cpu.get_reg(i.rs2))
+def _load_value(width: int, signed: bool) -> str:
+    """Template: the loaded little-endian bytes ``v`` as a register value."""
+    bits = 8 * width
+    if not signed or bits == 64:
+        return "v"
+    return f"v | {_MASK64 ^ ((1 << bits) - 1)} if v & {1 << (bits - 1)} else v"
 
 
-def _exec_c_addi16sp(cpu: Cpu, i: Instruction):
-    cpu.set_reg(2, cpu.get_reg(2) + i.imm)
+def _store_value(width: int) -> str:
+    return "r[rs2]" if width == 8 else f"r[rs2] & {(1 << 8 * width) - 1}"
+
+
+def _closure_body(sem: _Sem, rd_live: bool) -> list[str]:
+    """Statements of a bound closure; *rd_live* is False when rd is x0."""
+    kind, expr, width, signed = sem
+    if kind == "alu":
+        return [f"r[rd] = {expr}"] if rd_live else []
+    if kind == "load":
+        read = f"cpu.space.read({expr}, {width})"
+        if not rd_live:
+            return [read]  # the access still happens, and may fault
+        return [f"v = FB({read}, 'little')",
+                f"r[rd] = {_load_value(width, signed)}"]
+    if kind == "store":
+        return [f"cpu.space.write({expr}, "
+                f"({_store_value(width)}).to_bytes({width}, 'little'))"]
+    if kind == "branch":
+        return [f"if {expr}:", f"    cpu.pc = {_PCREL}", "    return True",
+                "return False"]
+    if kind == "jump":
+        return [f"t = {expr}", *(["r[rd] = nxt"] if rd_live else []),
+                "cpu.pc = t"]
+    return [expr] if expr else []
+
+
+def _op_def(body: list[str], pad: str) -> list[str]:
+    text = "\n".join(body)
+    params = "".join(f", {n}={n}" for n in sorted(set(_BOUND_RE.findall(text))))
+    lines = [f"def op(cpu, _i{params}):"]
+    if "r[" in text:
+        lines.append("    r = cpu.regs")
+    lines += ["    " + line for line in text.splitlines()]
+    return [pad + line for line in lines]
+
+
+def _factory_source(name: str, sem: _Sem) -> str:
+    """Source of ``name(rd, rs1, rs2, imm, addr, nxt) -> op``."""
+    lets: dict[str, str] = {}
+
+    def hoist(mt):
+        return lets.setdefault(mt[1], f"k{len(lets)}")
+
+    live, dead = (_LET_RE.sub(hoist, _consts("\n".join(body))).splitlines()
+                  for body in (_closure_body(sem, True), _closure_body(sem, False)))
+    out = [f"def {name}({', '.join(_OPERANDS)}):"]
+    out += [f"    {k} = {src}" for src, k in lets.items()]
+    if not live:
+        out.append("    return NOP")
+    elif live == dead:
+        out += _op_def(live, "    ") + ["    return op"]
+    else:
+        out += ["    if rd:"] + _op_def(live, "        ") + ["        return op"]
+        out += _op_def(dead, "    ") + ["    return op"] if dead else ["    return NOP"]
+    return "\n".join(out)
+
+
+def _emit_binders() -> dict[str, Callable]:
+    """Compile one closure factory per distinct entry, in one module."""
+    names: dict[_Sem, str] = {}
+    for sem in _SEMANTICS.values():
+        names.setdefault(sem, f"_bind{len(names)}")
+    src = "\n\n".join(_factory_source(n, sem) for sem, n in names.items())
+    ns = dict(_TEMPLATE_GLOBALS)
+    exec(compile(src, "<semantics>", "exec"), ns)  # noqa: S102 - self-generated
+    return {m: ns[names[sem]] for m, sem in _SEMANTICS.items()}
+
+
+def _inline_format(template: str) -> str:
+    """*template* as a format string over the operands, its bind-time
+    groups left to the compiler's constant folding."""
+    text = _consts(template.replace("{", "(").replace("}", ")"))
+    return _OPERAND_RE.sub(r"{\1}", text)
+
+
+def _inline_template(sem: _Sem) -> tuple[str, str, str, int]:
+    """``(kind, expr, value, width)`` with operands as format fields;
+    ``value`` is the loaded value (over ``v``) or the stored one."""
+    kind, expr, width, signed = sem
+    value = (_load_value(width, signed) if kind == "load"
+             else _store_value(width) if kind == "store" else "")
+    return kind, _inline_format(expr), _inline_format(value), width
+
+
+#: A whole expression that adds a zero offset to a register, then masks.
+_ZERO_OFFSET_RE = re.compile(r"\(r\[(\d+)\] \+ 0\) & (\d+)")
+
+
+def _lit(template: str, operands: dict) -> str:
+    """*template* filled with literal operands, simplified where constant
+    folding cannot: x0 reads as 0, and a zero offset from a register
+    (whose value is already masked) leaves just the register and mask."""
+    src = template.format_map(operands)
+    if "r[0]" in src:
+        src = src.replace("r[0]", "0")
+    zero = _ZERO_OFFSET_RE.fullmatch(src)
+    if zero is not None:
+        reg, mask = zero.groups()
+        src = f"r[{reg}]" if int(mask) == _MASK64 else f"r[{reg}] & {mask}"
+    return src
+
+
+#: Names templates may call, bound in both emitters' generated code.
+_TEMPLATE_GLOBALS = {"FB": int.from_bytes, "NOP": _nop, "EcallTrap": EcallTrap,
+                     "BreakpointTrap": BreakpointTrap, "_div": _div,
+                     "_rem": _rem, "_divw": _divw, "_remw": _remw}
+
+_BINDERS = _emit_binders()
+_INLINE = {m: _inline_template(sem) for m, sem in _SEMANTICS.items()}
+_PCREL_INLINE = _inline_format(_PCREL)
 
 
 # -- vector -------------------------------------------------------------------
@@ -1578,110 +1450,7 @@ def _exec_vredsum(cpu: Cpu, i: Instruction):
     vu.write_elem(i.vd, 0, total)
 
 
-_HANDLERS: dict[str, Callable] = {
-    "lui": _exec_lui,
-    "auipc": _exec_auipc,
-    "jal": _exec_jal,
-    "jalr": _exec_jalr,
-    "beq": _branch(lambda a, b: a == b),
-    "bne": _branch(lambda a, b: a != b),
-    "blt": _branch(lambda a, b: _s(a) < _s(b)),
-    "bge": _branch(lambda a, b: _s(a) >= _s(b)),
-    "bltu": _branch(lambda a, b: a < b),
-    "bgeu": _branch(lambda a, b: a >= b),
-    "lb": _exec_load(1, True),
-    "lh": _exec_load(2, True),
-    "lw": _exec_load(4, True),
-    "ld": _exec_load(8, True),
-    "lbu": _exec_load(1, False),
-    "lhu": _exec_load(2, False),
-    "lwu": _exec_load(4, False),
-    "sb": _exec_store(1),
-    "sh": _exec_store(2),
-    "sw": _exec_store(4),
-    "sd": _exec_store(8),
-    "addi": _exec_addi,
-    "addiw": _exec_addiw,
-    "slti": _exec_slti,
-    "sltiu": _exec_sltiu,
-    "xori": _exec_xori,
-    "ori": _exec_ori,
-    "andi": _exec_andi,
-    "slli": _exec_slli,
-    "srli": _exec_srli,
-    "srai": _exec_srai,
-    "slliw": _exec_slliw,
-    "srliw": _exec_srliw,
-    "sraiw": _exec_sraiw,
-    "add": _rr(lambda a, b: a + b),
-    "sub": _rr(lambda a, b: a - b),
-    "sll": _rr(lambda a, b: a << (b & 63)),
-    "slt": _rr(lambda a, b: 1 if _s(a) < _s(b) else 0),
-    "sltu": _rr(lambda a, b: 1 if a < b else 0),
-    "xor": _rr(lambda a, b: a ^ b),
-    "srl": _rr(lambda a, b: a >> (b & 63)),
-    "sra": _rr(lambda a, b: _s(a) >> (b & 63)),
-    "or": _rr(lambda a, b: a | b),
-    "and": _rr(lambda a, b: a & b),
-    "addw": _rrw(lambda a, b: a + b),
-    "subw": _rrw(lambda a, b: a - b),
-    "sllw": _rrw(lambda a, b: a << (b & 31)),
-    "srlw": _rrw(lambda a, b: (a & _MASK32) >> (b & 31)),
-    "sraw": _rrw(lambda a, b: sign_extend(a & _MASK32, 32) >> (b & 31)),
-    "mul": _rr(lambda a, b: a * b),
-    "mulh": _rr(lambda a, b: (_s(a) * _s(b)) >> 64),
-    "mulhsu": _rr(lambda a, b: (_s(a) * b) >> 64),
-    "mulhu": _rr(lambda a, b: (a * b) >> 64),
-    "div": _rr(_div),
-    "divu": _rr(lambda a, b: _MASK64 if b == 0 else a // b),
-    "rem": _rr(_rem),
-    "remu": _rr(lambda a, b: a if b == 0 else a % b),
-    "mulw": _rrw(lambda a, b: a * b),
-    "divw": _rrw(_divw),
-    "divuw": _rrw(lambda a, b: _MASK32 if (b & _MASK32) == 0 else (a & _MASK32) // (b & _MASK32)),
-    "remw": _rrw(_remw),
-    "remuw": _rrw(lambda a, b: (a & _MASK32) if (b & _MASK32) == 0 else (a & _MASK32) % (b & _MASK32)),
-    "sh1add": _rr(lambda a, b: (a << 1) + b),
-    "sh2add": _rr(lambda a, b: (a << 2) + b),
-    "sh3add": _rr(lambda a, b: (a << 3) + b),
-    "ecall": _exec_ecall,
-    "ebreak": _exec_ebreak,
-    "fence": _exec_fence,
-    # compressed
-    "c.nop": _exec_c_nop,
-    "c.addi": _exec_addi,
-    "c.addiw": _exec_addiw,
-    "c.li": _exec_c_li,
-    "c.lui": _exec_c_lui,
-    "c.addi16sp": _exec_c_addi16sp,
-    "c.addi4spn": _exec_addi,
-    "c.slli": _exec_slli,
-    "c.srli": _exec_srli,
-    "c.srai": _exec_srai,
-    "c.andi": _exec_andi,
-    "c.sub": _rr(lambda a, b: a - b),
-    "c.xor": _rr(lambda a, b: a ^ b),
-    "c.or": _rr(lambda a, b: a | b),
-    "c.and": _rr(lambda a, b: a & b),
-    "c.subw": _rrw(lambda a, b: a - b),
-    "c.addw": _rrw(lambda a, b: a + b),
-    "c.j": _exec_c_j,
-    "c.jr": _exec_c_jr,
-    "c.jalr": _exec_c_jalr,
-    "c.beqz": _exec_c_beqz,
-    "c.bnez": _exec_c_bnez,
-    "c.mv": _exec_c_mv,
-    "c.add": _exec_c_add,
-    "c.lw": _exec_load(4, True),
-    "c.ld": _exec_load(8, True),
-    "c.lwsp": _exec_load(4, True),
-    "c.ldsp": _exec_load(8, True),
-    "c.sw": _exec_store(4),
-    "c.sd": _exec_store(8),
-    "c.swsp": _exec_store(4),
-    "c.sdsp": _exec_store(8),
-    "c.ebreak": _exec_ebreak,
-    # vector
+_VECTOR_HANDLERS: dict[str, Callable] = {
     "vsetvli": _exec_vsetvli,
     "vle32.v": _exec_vload(32),
     "vle64.v": _exec_vload(64),
@@ -1712,306 +1481,4 @@ _HANDLERS: dict[str, Callable] = {
     "vmv.v.i": _exec_vmv_v_i,
     "vmv.x.s": _exec_vmv_x_s,
     "vredsum.vs": _exec_vredsum,
-}
-
-
-# ---------------------------------------------------------------------------
-# Superblock operand specialization.  At block-build time the decoded
-# operands are baked into small closures that index the register file
-# directly — the same architectural semantics as the generic handlers
-# (x0 stays zero because nothing ever writes regs[0] and writes to it
-# are compiled out; results are masked exactly as set_reg would), minus
-# the per-step attribute and method dispatch.  A specializer may return
-# None to decline an encoding, falling back to the generic handler.
-# ---------------------------------------------------------------------------
-
-def _spec_nop(cpu, _i):
-    return None
-
-
-def _spec_const(i, value):
-    rd = i.rd
-    if rd == 0:
-        return _spec_nop
-    value &= _MASK64
-
-    def fn(cpu, _i, rd=rd, value=value):
-        cpu.regs[rd] = value
-    return fn
-
-
-def _spec_lui(i):
-    return _spec_const(i, sign_extend(i.imm << 12, 32))
-
-
-def _spec_c_lui(i):
-    return _spec_const(i, sign_extend((i.imm & 0x3F) << 12, 18))
-
-
-def _spec_c_li(i):
-    return _spec_const(i, i.imm)
-
-
-def _spec_auipc(i):
-    return _spec_const(i, i.addr + sign_extend(i.imm << 12, 32))
-
-
-def _spec_addi(i):
-    rd, rs1, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm):
-        regs = cpu.regs
-        regs[rd] = (regs[rs1] + imm) & _MASK64
-    return fn
-
-
-def _spec_addiw(i):
-    rd, rs1, imm = i.rd, i.rs1, i.imm
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm):
-        regs = cpu.regs
-        v = (regs[rs1] + imm) & _MASK32
-        regs[rd] = (v - 0x1_0000_0000 if v & 0x8000_0000 else v) & _MASK64
-    return fn
-
-
-def _spec_c_addi16sp(i):
-    imm = i.imm
-
-    def fn(cpu, _i, imm=imm):
-        regs = cpu.regs
-        regs[2] = (regs[2] + imm) & _MASK64
-    return fn
-
-
-def _spec_logic_imm(op):
-    def make(i):
-        rd, rs1 = i.rd, i.rs1
-        if rd == 0:
-            return _spec_nop
-        imm = i.imm & _MASK64
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm, op=op):
-            regs = cpu.regs
-            regs[rd] = op(regs[rs1], imm)
-        return fn
-    return make
-
-
-def _spec_shift_imm(op):
-    """Immediate shifts: result masked, shamt literal."""
-    def make(i):
-        rd, rs1, sh = i.rd, i.rs1, i.imm
-        if rd == 0:
-            return _spec_nop
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, sh=sh, op=op):
-            regs = cpu.regs
-            regs[rd] = op(regs[rs1], sh) & _MASK64
-        return fn
-    return make
-
-
-def _spec_rr(op):
-    """Register-register ALU: result masked like set_reg."""
-    def make(i):
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-        if rd == 0:
-            return _spec_nop
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, rs2=rs2, op=op):
-            regs = cpu.regs
-            regs[rd] = op(regs[rs1], regs[rs2]) & _MASK64
-        return fn
-    return make
-
-
-def _spec_c_mv(i):
-    rd, rs2 = i.rd, i.rs2
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs2=rs2):
-        regs = cpu.regs
-        regs[rd] = regs[rs2]
-    return fn
-
-
-def _spec_c_add(i):
-    rd, rs2 = i.rd, i.rs2
-    if rd == 0:
-        return _spec_nop
-
-    def fn(cpu, _i, rd=rd, rs2=rs2):
-        regs = cpu.regs
-        regs[rd] = (regs[rd] + regs[rs2]) & _MASK64
-    return fn
-
-
-def _spec_load(width, signed):
-    bits = width * 8
-
-    def make(i):
-        rd, rs1, imm = i.rd, i.rs1, i.imm
-
-        def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm, width=width,
-               bits=bits, signed=signed):
-            regs = cpu.regs
-            addr = (regs[rs1] + imm) & _MASK64
-            value = int.from_bytes(cpu.space.read(addr, width), "little")
-            if signed and value >> (bits - 1):
-                value = (value - (1 << bits)) & _MASK64
-            if rd:
-                regs[rd] = value
-        return fn
-    return make
-
-
-def _spec_store(width):
-    mask = (1 << (width * 8)) - 1
-
-    def make(i):
-        rs1, rs2, imm = i.rs1, i.rs2, i.imm
-
-        def fn(cpu, _i, rs1=rs1, rs2=rs2, imm=imm, width=width, mask=mask):
-            regs = cpu.regs
-            cpu.space.write((regs[rs1] + imm) & _MASK64,
-                            (regs[rs2] & mask).to_bytes(width, "little"))
-        return fn
-    return make
-
-
-def _spec_branch(op):
-    def make(i):
-        rs1, rs2 = i.rs1, i.rs2
-        target = (i.addr + i.imm) & _MASK64
-
-        def fn(cpu, _i, rs1=rs1, rs2=rs2, target=target, op=op):
-            regs = cpu.regs
-            if op(regs[rs1], regs[rs2]):
-                cpu.pc = target
-                return True
-            return False
-        return fn
-    return make
-
-
-def _spec_c_branch(zero_taken):
-    def make(i):
-        rs1 = i.rs1
-        target = (i.addr + i.imm) & _MASK64
-
-        def fn(cpu, _i, rs1=rs1, target=target, zero_taken=zero_taken):
-            if (cpu.regs[rs1] == 0) is zero_taken:
-                cpu.pc = target
-                return True
-            return False
-        return fn
-    return make
-
-
-def _spec_jal(i):
-    rd, link = i.rd, i.addr + 4
-    target = (i.addr + i.imm) & _MASK64
-
-    def fn(cpu, _i, rd=rd, link=link, target=target):
-        if rd:
-            cpu.regs[rd] = link
-        cpu.pc = target
-    return fn
-
-
-def _spec_c_j(i):
-    target = (i.addr + i.imm) & _MASK64
-
-    def fn(cpu, _i, target=target):
-        cpu.pc = target
-    return fn
-
-
-def _spec_jalr(i):
-    rd, rs1, imm, link = i.rd, i.rs1, i.imm, i.addr + 4
-
-    def fn(cpu, _i, rd=rd, rs1=rs1, imm=imm, link=link):
-        target = (cpu.regs[rs1] + imm) & _MASK64 & ~1
-        if rd:
-            cpu.regs[rd] = link
-        cpu.pc = target
-    return fn
-
-
-_SPECIALIZERS: dict[str, Callable[[Instruction], Optional[Callable]]] = {
-    "lui": _spec_lui,
-    "auipc": _spec_auipc,
-    "c.lui": _spec_c_lui,
-    "c.li": _spec_c_li,
-    "addi": _spec_addi,
-    "c.addi": _spec_addi,
-    "c.addi4spn": _spec_addi,
-    "addiw": _spec_addiw,
-    "c.addiw": _spec_addiw,
-    "c.addi16sp": _spec_c_addi16sp,
-    "andi": _spec_logic_imm(lambda a, b: a & b),
-    "c.andi": _spec_logic_imm(lambda a, b: a & b),
-    "ori": _spec_logic_imm(lambda a, b: a | b),
-    "xori": _spec_logic_imm(lambda a, b: a ^ b),
-    "slli": _spec_shift_imm(lambda a, sh: a << sh),
-    "c.slli": _spec_shift_imm(lambda a, sh: a << sh),
-    "srli": _spec_shift_imm(lambda a, sh: a >> sh),
-    "c.srli": _spec_shift_imm(lambda a, sh: a >> sh),
-    "srai": _spec_shift_imm(lambda a, sh: _s(a) >> sh),
-    "c.srai": _spec_shift_imm(lambda a, sh: _s(a) >> sh),
-    "add": _spec_rr(lambda a, b: a + b),
-    "sub": _spec_rr(lambda a, b: a - b),
-    "c.sub": _spec_rr(lambda a, b: a - b),
-    "and": _spec_rr(lambda a, b: a & b),
-    "c.and": _spec_rr(lambda a, b: a & b),
-    "or": _spec_rr(lambda a, b: a | b),
-    "c.or": _spec_rr(lambda a, b: a | b),
-    "xor": _spec_rr(lambda a, b: a ^ b),
-    "c.xor": _spec_rr(lambda a, b: a ^ b),
-    "sll": _spec_rr(lambda a, b: a << (b & 63)),
-    "srl": _spec_rr(lambda a, b: a >> (b & 63)),
-    "sra": _spec_rr(lambda a, b: _s(a) >> (b & 63)),
-    "slt": _spec_rr(lambda a, b: 1 if _s(a) < _s(b) else 0),
-    "sltu": _spec_rr(lambda a, b: 1 if a < b else 0),
-    "mul": _spec_rr(lambda a, b: a * b),
-    "remu": _spec_rr(lambda a, b: a if b == 0 else a % b),
-    "divu": _spec_rr(lambda a, b: _MASK64 if b == 0 else a // b),
-    "c.mv": _spec_c_mv,
-    "c.add": _spec_c_add,
-    "lb": _spec_load(1, True),
-    "lh": _spec_load(2, True),
-    "lw": _spec_load(4, True),
-    "ld": _spec_load(8, True),
-    "c.lw": _spec_load(4, True),
-    "c.ld": _spec_load(8, True),
-    "c.lwsp": _spec_load(4, True),
-    "c.ldsp": _spec_load(8, True),
-    "lbu": _spec_load(1, False),
-    "lhu": _spec_load(2, False),
-    "lwu": _spec_load(4, False),
-    "sb": _spec_store(1),
-    "sh": _spec_store(2),
-    "sw": _spec_store(4),
-    "sd": _spec_store(8),
-    "c.sw": _spec_store(4),
-    "c.sd": _spec_store(8),
-    "c.swsp": _spec_store(4),
-    "c.sdsp": _spec_store(8),
-    "beq": _spec_branch(lambda a, b: a == b),
-    "bne": _spec_branch(lambda a, b: a != b),
-    "blt": _spec_branch(lambda a, b: _s(a) < _s(b)),
-    "bge": _spec_branch(lambda a, b: _s(a) >= _s(b)),
-    "bltu": _spec_branch(lambda a, b: a < b),
-    "bgeu": _spec_branch(lambda a, b: a >= b),
-    "c.beqz": _spec_c_branch(True),
-    "c.bnez": _spec_c_branch(False),
-    "jal": _spec_jal,
-    "c.j": _spec_c_j,
-    "jalr": _spec_jalr,
 }

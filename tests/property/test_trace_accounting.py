@@ -1,12 +1,13 @@
-"""Property test: trace-tier accounting versus pure ``step()`` execution.
+"""Property test: block- and trace-tier accounting versus pure ``step()``.
 
-Hypothesis generates small branchy loop programs (data-dependent
-branches force guard side exits, optional vector episodes exercise the
-compiled vector fast paths) and runs each one three ways — pure
-interpreter, trace tier compiled, trace tier interpreted — plus a
-budget-truncated run that expires mid-trace.  Registers, pc, instret,
-cycles, and the data segment must match exactly in every mode: a guard
-side exit or budget cut mid-block never double- or under-counts
+Hypothesis generates small branchy loop programs over every
+register-register, register-immediate and W-form mnemonic the assembler
+accepts (data-dependent branches force guard side exits, optional
+vector episodes exercise the compiled vector fast paths) and runs each
+one three ways — pure interpreter, block tier, trace tier — both to
+completion and under a budget that expires mid-trace.  Registers, pc,
+instret, cycles, and the data segment must match exactly in every mode:
+a guard side exit or budget cut mid-block never double- or under-counts
 retired instructions.
 
 Deterministic replay: seeded from ``REPRO_FUZZ_SEED`` like the
@@ -20,19 +21,27 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.elf.builder import ProgramBuilder
 from repro.elf.loader import make_process
+from repro.isa.assembler import _RRI, _RRR
 from repro.isa.extensions import RV64GCV
 from repro.sim.faults import SimFault, SimulationLimitExceeded
 from repro.sim.machine import Core, Kernel
 
-SCALAR_OPS = ("add", "sub", "xor", "or", "and", "mul", "sltu", "srl")
+RR_OPS = tuple(sorted(_RRR))
+IMM_OPS = tuple(sorted(_RRI))
+SHIFT_BITS = {"slli": 6, "srli": 6, "srai": 6, "slliw": 5, "srliw": 5, "sraiw": 5}
 REGS = ("a2", "a3", "a4", "a5", "t3", "t4")
 
 
 @st.composite
 def scalar_stmt(draw):
-    op = draw(st.sampled_from(SCALAR_OPS))
     dst, a, b = (draw(st.sampled_from(REGS)) for _ in range(3))
-    return f"    {op} {dst}, {a}, {b}"
+    if draw(st.booleans()):
+        return f"    {draw(st.sampled_from(RR_OPS))} {dst}, {a}, {b}"
+    op = draw(st.sampled_from(IMM_OPS))
+    bits = SHIFT_BITS.get(op)
+    imm = draw(st.integers(min_value=0, max_value=(1 << bits) - 1) if bits
+               else st.integers(min_value=-2048, max_value=2047))
+    return f"    {op} {dst}, {a}, {imm}"
 
 
 @st.composite
@@ -105,13 +114,11 @@ def build(text: str):
     return b.build()
 
 
-def _run_cpu(binary, *, budget, block_cache=True, trace_cache=True,
-             trace_compile=True):
+def _run_cpu(binary, *, budget, block_cache=True, trace_cache=True):
     kernel = Kernel(block_cache=block_cache, trace_cache=trace_cache,
                     trace_threshold=1)
     process = make_process(binary)
     cpu = kernel.make_cpu(process, Core(0, RV64GCV))
-    cpu.trace_compile = trace_compile
     try:
         cpu.run(max_instructions=budget)
     except (SimFault, SimulationLimitExceeded):
@@ -142,15 +149,15 @@ class TestTraceAccounting:
         binary = build(text)
         step, step_data = _run_cpu(binary, budget=1_000_000,
                                    block_cache=False)
-        compiled, comp_data = _run_cpu(build(text), budget=1_000_000)
-        interp, int_data = _run_cpu(build(text), budget=1_000_000,
-                                    trace_compile=False)
+        block, block_data = _run_cpu(build(text), budget=1_000_000,
+                                     trace_cache=False)
+        traced, traced_data = _run_cpu(build(text), budget=1_000_000)
         expected = _state(step, step_data)
-        assert _state(compiled, comp_data) == expected, \
-            f"compiled trace diverged:\n{text}"
-        assert _state(interp, int_data) == expected, \
-            f"interpreted trace diverged:\n{text}"
-        assert compiled.counters.get("trace_instret", 0) > 0
+        assert _state(block, block_data) == expected, \
+            f"block tier diverged:\n{text}"
+        assert _state(traced, traced_data) == expected, \
+            f"trace tier diverged:\n{text}"
+        assert traced.counters.get("trace_instret", 0) > 0
 
     @seed(FUZZ_SEED)
     @given(text=program(), budget=st.integers(min_value=5, max_value=300))
@@ -161,6 +168,11 @@ class TestTraceAccounting:
         instruction count."""
         binary = build(text)
         step, step_data = _run_cpu(binary, budget=budget, block_cache=False)
+        block, block_data = _run_cpu(build(text), budget=budget,
+                                     trace_cache=False)
         traced, traced_data = _run_cpu(build(text), budget=budget)
-        assert _state(traced, traced_data) == _state(step, step_data), \
-            f"budget={budget} diverged:\n{text}"
+        expected = _state(step, step_data)
+        assert _state(block, block_data) == expected, \
+            f"budget={budget} diverged on the block tier:\n{text}"
+        assert _state(traced, traced_data) == expected, \
+            f"budget={budget} diverged on the trace tier:\n{text}"

@@ -1,5 +1,7 @@
 """Interpreter semantics: each instruction class against a Python model."""
 
+from typing import Callable, NamedTuple, Sequence
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.sim.faults import (
     EcallTrap,
     IllegalInstructionFault,
     SegmentationFault,
+    SimFault,
 )
 from repro.sim.memory import AddressSpace
 
@@ -307,3 +310,480 @@ class TestDecodeCache:
         run_to_break(cpu)
         assert cpu.instret == 3
         assert cpu.cycles >= 3
+
+
+# ---------------------------------------------------------------------------
+# Every scalar mnemonic on every execution tier, against this file's model.
+#
+# A case runs one instruction inside a loop of PASSES passes.  Each pass
+# first restores the instruction's source registers from shadow registers,
+# so every pass computes the same result.  The same bytes then run three
+# ways: ``step()`` only, the block tier (``trace_cache=False``, what
+# ``Kernel(trace_cache=False)`` builds), and the trace tier with
+# ``trace_threshold=1``, where the later passes run the instruction inside
+# a compiled trace.  Each final state must equal the model below, which
+# shares no code with the interpreter.
+# ---------------------------------------------------------------------------
+
+TEXT, DATA, DATA_SIZE = 0x1000, 0x8000, 0x2000
+BASE = 0x9000                       # memory operands point here
+PASSES = 5
+SHADOWS = (18, 19)                  # s2, s3 hold the source values
+COUNTER = 27                        # s11 counts passes down
+MARK = 5                            # t0 records which path control took
+RA, SP = 1, 2
+A0, A1, A2 = 10, 11, 12
+M32 = 0xFFFF_FFFF
+INT64_MIN, INT64_MAX = 1 << 63, (1 << 63) - 1
+
+DATA_BYTES = bytes(((i * 0x9D) ^ 0x5A) & 0xFF for i in range(DATA_SIZE))
+INIT_REGS = [0] + [(0x0101_0101_0101_0101 * i) & MASK for i in range(1, 32)]
+
+EDGE = (0, 1, MASK, INT64_MIN, INT64_MAX, 0x7FFF_FFFF, 0x8000_0000, M32,
+        0xFFFF_FFFF_8000_0000, 0x1234_5678_9ABC_DEF0)
+PAIRS = ((0, 0), (INT64_MIN, MASK), (7, 0), (MASK, MASK), (INT64_MIN, 1),
+         (0xFFFF_FFFF_8000_0000, MASK), (0x8000_0000, M32),
+         (0x1234_5678_9ABC_DEF0, 31), (INT64_MAX, 63), (0x7FFF_FFF0, 32 + 4),
+         (5, 64 + 3))
+
+
+def sx(value, bits):
+    value &= (1 << bits) - 1
+    return value - (1 << bits) if value >> (bits - 1) else value
+
+
+def s64(value):
+    return sx(value, 64)
+
+
+def w(value):
+    return sx(value, 32)
+
+
+def tdiv(a, b, bits):
+    """Signed division rounding toward zero, with RISC-V's corner cases."""
+    if b == 0:
+        return -1
+    if a == -(1 << (bits - 1)) and b == -1:
+        return a
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def trem(a, b, bits):
+    return a if b == 0 else a - b * tdiv(a, b, bits)
+
+
+RR_MODEL = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "sll": lambda a, b: a << (b & 63),
+    "slt": lambda a, b: int(s64(a) < s64(b)),
+    "sltu": lambda a, b: int(a < b),
+    "xor": lambda a, b: a ^ b,
+    "srl": lambda a, b: a >> (b & 63),
+    "sra": lambda a, b: s64(a) >> (b & 63),
+    "or": lambda a, b: a | b,
+    "and": lambda a, b: a & b,
+    "addw": lambda a, b: w(a + b),
+    "subw": lambda a, b: w(a - b),
+    "sllw": lambda a, b: w(a << (b & 31)),
+    "srlw": lambda a, b: w((a & M32) >> (b & 31)),
+    "sraw": lambda a, b: w(a) >> (b & 31),
+    "mul": lambda a, b: a * b,
+    "mulh": lambda a, b: (s64(a) * s64(b)) >> 64,
+    "mulhsu": lambda a, b: (s64(a) * b) >> 64,
+    "mulhu": lambda a, b: (a * b) >> 64,
+    "div": lambda a, b: tdiv(s64(a), s64(b), 64),
+    "divu": lambda a, b: a // b if b else MASK,
+    "rem": lambda a, b: trem(s64(a), s64(b), 64),
+    "remu": lambda a, b: a % b if b else a,
+    "mulw": lambda a, b: w(a * b),
+    "divw": lambda a, b: w(tdiv(w(a), w(b), 32)),
+    "divuw": lambda a, b: w((a & M32) // (b & M32) if b & M32 else M32),
+    "remw": lambda a, b: w(trem(w(a), w(b), 32)),
+    "remuw": lambda a, b: w((a & M32) % (b & M32) if b & M32 else a),
+    "sh1add": lambda a, b: (a << 1) + b,
+    "sh2add": lambda a, b: (a << 2) + b,
+    "sh3add": lambda a, b: (a << 3) + b,
+}
+
+#: Compressed register-register forms: rd is also the first source.
+C_RR_MODEL = {
+    "c.sub": RR_MODEL["sub"], "c.xor": RR_MODEL["xor"],
+    "c.or": RR_MODEL["or"], "c.and": RR_MODEL["and"],
+    "c.subw": RR_MODEL["subw"], "c.addw": RR_MODEL["addw"],
+    "c.add": RR_MODEL["add"], "c.mv": lambda a, b: b,
+}
+
+SHIFT64 = (0, 1, 31, 63)
+SHIFT32 = (0, 1, 31)
+IMM12 = (0, 1, -1, 2047, -2048)
+
+#: Register-immediate forms: mnemonic -> (model, immediates).
+RI_MODEL = {
+    "addi": (lambda a, i: a + i, IMM12),
+    "slti": (lambda a, i: int(s64(a) < i), IMM12),
+    "sltiu": (lambda a, i: int(a < i & MASK), IMM12),
+    "xori": (lambda a, i: a ^ i, IMM12),
+    "ori": (lambda a, i: a | i, IMM12),
+    "andi": (lambda a, i: a & i, IMM12),
+    "slli": (lambda a, i: a << i, SHIFT64),
+    "srli": (lambda a, i: a >> i, SHIFT64),
+    "srai": (lambda a, i: s64(a) >> i, SHIFT64),
+    "addiw": (lambda a, i: w(a + i), IMM12),
+    "slliw": (lambda a, i: w(a << i), SHIFT32),
+    "srliw": (lambda a, i: w((a & M32) >> i), SHIFT32),
+    "sraiw": (lambda a, i: w(a) >> i, SHIFT32),
+}
+
+#: Compressed register-immediate forms (rd is also the source).
+C_RI_MODEL = {
+    "c.addi": (RI_MODEL["addi"][0], (0, 1, -1, 31, -32)),
+    "c.addiw": (RI_MODEL["addiw"][0], (0, 1, -1, 31, -32)),
+    "c.slli": (RI_MODEL["slli"][0], (1, 31, 63)),
+    "c.srli": (RI_MODEL["srli"][0], (1, 31, 63)),
+    "c.srai": (RI_MODEL["srai"][0], (1, 31, 63)),
+    "c.andi": (RI_MODEL["andi"][0], (0, -1, 31, -32)),
+}
+
+#: Loads: mnemonic -> (bytes, sign-extends, offsets, base register).
+LOAD_MODEL = {
+    "lb": (1, True, None, None), "lh": (2, True, None, None),
+    "lw": (4, True, None, None), "ld": (8, True, None, None),
+    "lbu": (1, False, None, None), "lhu": (2, False, None, None),
+    "lwu": (4, False, None, None),
+    "c.lw": (4, True, (0, 4, 124), A1), "c.ld": (8, True, (0, 8, 248), A1),
+    "c.lwsp": (4, True, (0, 4, 252), SP), "c.ldsp": (8, True, (0, 8, 504), SP),
+}
+
+#: Stores: mnemonic -> (bytes, offsets, base register).
+STORE_MODEL = {
+    "sb": (1, None, None), "sh": (2, None, None),
+    "sw": (4, None, None), "sd": (8, None, None),
+    "c.sw": (4, (0, 4, 124), A1), "c.sd": (8, (0, 8, 248), A1),
+    "c.swsp": (4, (0, 4, 252), SP), "c.sdsp": (8, (0, 8, 504), SP),
+}
+MEM_OFFSETS = (0, 1, 3, 7, -2048, 2040)
+
+BRANCH_MODEL = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: s64(a) < s64(b),
+    "bge": lambda a, b: s64(a) >= s64(b),
+    "bltu": lambda a, b: a < b,
+    "bgeu": lambda a, b: a >= b,
+    "c.beqz": lambda a, _b: a == 0,
+    "c.bnez": lambda a, _b: a != 0,
+}
+
+#: Instructions that raise instead of retiring: mnemonic -> (fault, compressed).
+TRAP_MODEL = {
+    "ecall": (EcallTrap, None),
+    "ebreak": (BreakpointTrap, False),
+    "c.ebreak": (BreakpointTrap, True),
+}
+
+
+def _x(reg):
+    return f"x{reg}"
+
+
+def _set(regs, rd, value):
+    if rd:
+        regs[rd] = value & MASK
+
+
+class Case(NamedTuple):
+    """One instruction shape: loop-body text, the source registers each
+    pass restores, their value sets, and the model's effect on
+    ``(regs, mem, labels)`` once the sources are restored."""
+
+    body: str
+    sources: Sequence[int]
+    values: Sequence[tuple]
+    effect: Callable
+
+
+def _rr_cases(m, f):
+    if m in C_RR_MODEL:
+        layouts = [(A0, A0, A1), (A0, A0, A0)]
+        text = "    {m} {rd}, {rs2}"
+    else:
+        layouts = [(A0, A1, A2), (0, A1, A2), (A1, A1, A2), (A2, A1, A2),
+                   (A0, A1, A1)]
+        text = "    {m} {rd}, {rs1}, {rs2}"
+    for rd, rs1, rs2 in layouts:
+        def effect(x, _mem, _lab, rd=rd, rs1=rs1, rs2=rs2):
+            _set(x, rd, f(x[rs1], x[rs2]))
+        yield Case(text.format(m=m, rd=_x(rd), rs1=_x(rs1), rs2=_x(rs2)),
+                   (rs1, rs2), PAIRS, effect)
+
+
+def _ri_cases(m, f, imms):
+    compressed = m in C_RI_MODEL
+    layouts = [(A0, A0), (A1, A1)] if compressed else [(A0, A1), (0, A1), (A1, A1)]
+    for imm in imms:
+        for rd, rs1 in layouts:
+            def effect(x, _mem, _lab, rd=rd, rs1=rs1, imm=imm):
+                _set(x, rd, f(x[rs1], imm))
+            body = (f"    {m} {_x(rd)}, {imm}" if compressed
+                    else f"    {m} {_x(rd)}, {_x(rs1)}, {imm}")
+            yield Case(body, (rs1,), [(v,) for v in EDGE], effect)
+
+
+def _c_addi16sp(imm):
+    """``c.addi16sp`` parcel (the assembler has no mnemonic for it)."""
+    u = imm & 0x3FF
+    return ((0b011 << 13) | (((u >> 9) & 1) << 12) | (SP << 7)
+            | (((u >> 4) & 1) << 6) | (((u >> 6) & 1) << 5)
+            | (((u >> 7) & 3) << 3) | (((u >> 5) & 1) << 2) | 0b01)
+
+
+def _other_alu_cases(m):
+    if m == "c.addi16sp":
+        for imm in (16, -16, 496, -512):
+            def effect(x, _mem, _lab, imm=imm):
+                _set(x, SP, x[SP] + imm)
+            yield Case(f"    .half {_c_addi16sp(imm):#x}", (SP,),
+                       [(v,) for v in EDGE], effect)
+    elif m == "c.addi4spn":
+        for imm in (4, 1020):
+            def effect(x, _mem, _lab, imm=imm):
+                _set(x, A0, x[SP] + imm)
+            yield Case(f"    c.addi4spn x{A0}, {imm}", (SP,),
+                       [(v,) for v in EDGE], effect)
+    else:
+        # Constant materializers: the value depends on the immediate (and,
+        # for auipc, on the instruction's own address) only.
+        imms, rds = {
+            "lui": ((0, 1, 0x7FFFF, 0x80000, 0xFFFFF), (A0, 0)),
+            "auipc": ((0, 1, 0x7FFFF, 0x80000, 0xFFFFF), (A0, 0)),
+            "c.lui": ((1, 31, -1, -32), (A0,)),
+            "c.li": ((0, 1, -1, 31, -32), (A0,)),
+        }[m]
+        model = {
+            "lui": lambda imm, pc: sx(imm << 12, 32),
+            "auipc": lambda imm, pc: pc + sx(imm << 12, 32),
+            "c.lui": lambda imm, pc: imm << 12,
+            "c.li": lambda imm, pc: imm,
+        }[m]
+        for imm in imms:
+            for rd in rds:
+                def effect(x, _mem, lab, rd=rd, imm=imm):
+                    _set(x, rd, model(imm, lab["op"]))
+                yield Case(f"    {m} {_x(rd)}, {imm}", (), [()], effect)
+
+
+def _load_cases(m):
+    width, signed, offsets, base = LOAD_MODEL[m]
+    if base is None:
+        layouts, offsets = [(A0, A1), (0, A1), (A1, A1)], MEM_OFFSETS
+    else:
+        layouts = [(A0, base), (A1, base)] if base == A1 else [(A0, base)]
+    for off in offsets:
+        for rd, rs1 in layouts:
+            def effect(x, mem, _lab, rd=rd, rs1=rs1, off=off):
+                addr = (x[rs1] + off) & MASK
+                value = int.from_bytes(mem[addr - DATA:addr - DATA + width], "little")
+                _set(x, rd, sx(value, width * 8) if signed else value)
+            yield Case(f"    {m} {_x(rd)}, {off}({_x(rs1)})", (rs1,),
+                       [(BASE,)], effect)
+
+
+def _store_cases(m):
+    width, offsets, base = STORE_MODEL[m]
+    if base is None:
+        layouts, offsets = [(A2, A1), (0, A1), (A1, A1)], MEM_OFFSETS
+    else:
+        layouts = [(A2, base), (base, base)] if base == A1 else [(A2, base)]
+    for off in offsets:
+        for rs2, rs1 in layouts:
+            def effect(x, mem, _lab, rs1=rs1, rs2=rs2, off=off):
+                addr = ((x[rs1] + off) & MASK) - DATA
+                mem[addr:addr + width] = (x[rs2] & ((1 << (8 * width)) - 1)) \
+                    .to_bytes(width, "little")
+            values = [(BASE, v) for v in EDGE] if rs1 != rs2 else [(BASE, BASE)]
+            yield Case(f"    {m} {_x(rs2)}, {off}({_x(rs1)})", (rs1, rs2),
+                       values, effect)
+
+
+def _branch_cases(m):
+    cond = BRANCH_MODEL[m]
+    if m.startswith("c."):
+        layouts, values = [(A1, 0)], [(v, 0) for v in EDGE]
+        head = f"    {m} {_x(A1)}, taken"
+    else:
+        layouts, values = [(A1, A2), (A1, A1), (0, A2), (A1, 0)], PAIRS
+        head = f"    {m} {{rs1}}, {{rs2}}, taken"
+    for rs1, rs2 in layouts:
+        def effect(x, _mem, _lab, rs1=rs1, rs2=rs2):
+            x[MARK] = 2 if cond(x[rs1], x[rs2]) else 1
+        body = "\n".join([
+            head.format(rs1=_x(rs1), rs2=_x(rs2)),
+            f"    addi {_x(MARK)}, x0, 1",
+            "    jal x0, join",
+            "taken:",
+            f"    addi {_x(MARK)}, x0, 2",
+            "join:",
+        ])
+        yield Case(body, (rs1, rs2), values, effect)
+
+
+def _jump_cases(m):
+    """Jumps land on ``tgt``; falling through would set the marker to 99."""
+    tail = f"\n    addi {_x(MARK)}, x0, 99\ntgt:"
+
+    def target(delta):
+        return lambda lab: lab["tgt"] + delta
+
+    def linking(rd, length):
+        def effect(x, _mem, lab):
+            _set(x, rd, lab["op"] + length)
+        return effect
+
+    if m in ("jal", "c.j"):
+        for rd in ((A0, 0, RA) if m == "jal" else (0,)):
+            text = f"    jal {_x(rd)}, tgt" if m == "jal" else "    c.j tgt"
+            yield Case(text + tail, (), [()], linking(rd, 4))
+    elif m == "jalr":
+        for imm, delta in ((0, 0), (0, 1), (1, 0), (-2048, 2048), (2047, -2047)):
+            for rd in (A0, 0, A1, RA):
+                yield Case(f"    jalr {_x(rd)}, {imm}({_x(A1)})" + tail, (A1,),
+                           [(target(delta),)], linking(rd, 4))
+    else:  # c.jr / c.jalr: rd is ra for c.jalr, nothing for c.jr
+        rd = RA if m == "c.jalr" else 0
+        for rs1 in (A1, RA):
+            yield Case(f"    {m} {_x(rs1)}" + tail, (rs1,),
+                       [(target(0),), (target(1),)], linking(rd, 2))
+
+
+def _nop_cases(m):
+    yield Case(f"    {m}", (), [()], lambda x, mem, lab: None)
+
+
+def _cases(m):
+    if m in RR_MODEL or m in C_RR_MODEL:
+        return list(_rr_cases(m, RR_MODEL.get(m) or C_RR_MODEL[m]))
+    if m in RI_MODEL or m in C_RI_MODEL:
+        f, imms = RI_MODEL.get(m) or C_RI_MODEL[m]
+        return list(_ri_cases(m, f, imms))
+    if m in LOAD_MODEL:
+        return list(_load_cases(m))
+    if m in STORE_MODEL:
+        return list(_store_cases(m))
+    if m in BRANCH_MODEL:
+        return list(_branch_cases(m))
+    if m in ("jal", "jalr", "c.j", "c.jr", "c.jalr"):
+        return list(_jump_cases(m))
+    if m in ("fence", "c.nop"):
+        return list(_nop_cases(m))
+    return list(_other_alu_cases(m))
+
+
+RETIRING = sorted(
+    set(RR_MODEL) | set(C_RR_MODEL) | set(RI_MODEL) | set(C_RI_MODEL)
+    | set(LOAD_MODEL) | set(STORE_MODEL) | set(BRANCH_MODEL)
+    | {"jal", "jalr", "c.j", "c.jr", "c.jalr", "fence", "c.nop",
+       "c.addi16sp", "c.addi4spn", "lui", "auipc", "c.lui", "c.li"})
+
+TIERS = ("step", "block", "trace")
+
+
+def _tier_cpu(code: bytes, tier: str) -> Cpu:
+    space = AddressSpace()
+    space.map(".text", TEXT, bytearray(code), Perm.RX)
+    space.map(".data", DATA, bytearray(DATA_BYTES), Perm.RW)
+    return Cpu(space, RV64GCV, block_cache=tier != "step",
+               trace_cache=tier == "trace", trace_threshold=1)
+
+
+def _restart(cpu: Cpu, regs: list) -> Cpu:
+    """Fresh architectural state and counters; decode, block and trace
+    caches survive, so later value sets also run already-bound code."""
+    cpu.regs[:] = regs
+    cpu.pc = TEXT
+    cpu.instret = cpu.cycles = 0
+    cpu.counters.clear()
+    cpu.space.segment_at(DATA).data[:] = DATA_BYTES
+    return cpu
+
+
+def _run_tier(cpu: Cpu, tier: str, limit: int = 1000):
+    """Run until a fault; returns it (the loop ends at an ebreak)."""
+    try:
+        if tier == "step":
+            for _ in range(limit):
+                cpu.step()
+        else:
+            cpu.run(limit)
+    except SimFault as fault:
+        return fault
+    raise AssertionError("program did not stop")
+
+
+def _table_scalar_mnemonics() -> set:
+    """Scalar mnemonics the interpreter defines: the keys of its
+    semantics table (or, in a tree without one, its handler table)."""
+    import repro.sim.cpu as cpu_mod
+
+    table = getattr(cpu_mod, "_SEMANTICS", None) or cpu_mod._HANDLERS
+    return {m for m in table if not m.startswith("v")}
+
+
+class TestEveryScalarMnemonicOnEveryTier:
+    def test_model_covers_the_semantics_table(self):
+        assert set(RETIRING) | set(TRAP_MODEL) == _table_scalar_mnemonics()
+
+    @pytest.mark.parametrize("mnemonic", RETIRING)
+    def test_matches_model(self, mnemonic):
+        for case in _cases(mnemonic):
+            restores = "\n".join(
+                f"    addi {_x(src)}, {_x(sh)}, 0"
+                for src, sh in zip(case.sources, SHADOWS) if src)
+            program = assemble("\n".join([
+                "top:", restores, "op:", case.body,
+                f"    addi {_x(COUNTER)}, {_x(COUNTER)}, -1",
+                f"    bne {_x(COUNTER)}, x0, top",
+                "end:", "    ebreak", ""]), base=TEXT)
+            lab = program.labels
+            cpus = {tier: _tier_cpu(program.code, tier) for tier in TIERS}
+            for values in case.values:
+                regs = list(INIT_REGS)
+                regs[COUNTER] = PASSES
+                for sh, value in zip(SHADOWS, values):
+                    regs[sh] = value(lab) if callable(value) else value
+                want = list(regs)
+                for src, sh in zip(case.sources, SHADOWS):
+                    _set(want, src, want[sh])
+                mem = bytearray(DATA_BYTES)
+                case.effect(want, mem, lab)
+                want[COUNTER] = 0
+                seen = {}
+                for tier, cpu in cpus.items():
+                    fault = _run_tier(_restart(cpu, regs), tier)
+                    where = f"{case.body.strip()} {values} on the {tier} tier"
+                    assert isinstance(fault, BreakpointTrap), f"{where}: {fault!r}"
+                    assert cpu.pc == lab["end"], where
+                    assert cpu.regs == want, where
+                    assert bytes(cpu.space.segment_at(DATA).data) == mem, where
+                    if tier == "trace":
+                        assert cpu.counters["trace_instret"] > 0, where
+                    seen[tier] = (cpu.instret, cpu.cycles)
+                assert len(set(seen.values())) == 1, (case.body, values, seen)
+
+    @pytest.mark.parametrize("mnemonic", sorted(TRAP_MODEL))
+    def test_trap_matches_model(self, mnemonic):
+        kind, compressed = TRAP_MODEL[mnemonic]
+        program = assemble(f"top:\n    addi x{A0}, x0, 1\nop:\n    {mnemonic}\n",
+                           base=TEXT)
+        seen = set()
+        for tier in TIERS:
+            cpu = _restart(_tier_cpu(program.code, tier), INIT_REGS)
+            fault = _run_tier(cpu, tier)
+            assert type(fault) is kind, (tier, fault)
+            assert fault.pc == cpu.pc == program.labels["op"], tier
+            if compressed is not None:
+                assert fault.compressed is compressed, tier
+            seen.add((cpu.instret, cpu.cycles, tuple(cpu.regs)))
+        assert len(seen) == 1, seen
