@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.liveness import LivenessAnalysis
@@ -48,7 +48,7 @@ from repro.core.translate import (
 )
 from repro.core.upgrade import UpgradeSite, find_upgrade_sites
 from repro.elf.binary import Binary, Perm, Section
-from repro.isa.assembler import Assembler
+from repro.isa.assembler import assemble_piece
 from repro.isa.encoding import encode
 from repro.isa.extensions import Extension, IsaProfile
 from repro.isa.instructions import Instruction
@@ -124,6 +124,28 @@ class _Site:
         if kind == "upgrade":
             return payload.end
         return payload.addr + payload.length
+
+
+def _link_pieces(
+    pieces: list[tuple[Optional[str], str]], place: Callable[[int], int]
+) -> tuple[int, bytearray, dict[str, int]]:
+    """Lay out a target block from (label, assembly text) pieces.
+
+    Each piece is position-independent and its labels are local to it,
+    so each is assembled alone (memoized by
+    :func:`~repro.isa.assembler.assemble_piece`) and the block is the
+    pieces' bytes end to end: the same bytes as assembling the whole
+    text at the block address.  *place* maps the block size to its
+    address; returns (address, bytes, {piece label: absolute address}).
+    """
+    code = bytearray()
+    offsets: dict[str, int] = {}
+    for label, text in pieces:
+        if label is not None:
+            offsets[label] = len(code)
+        code += assemble_piece(text)
+    addr = place(len(code))
+    return addr, code, {label: addr + off for label, off in offsets.items()}
 
 
 class ChbpPatcher:
@@ -759,55 +781,42 @@ class ChbpPatcher:
         data-pointer variant needs no restore — its jump register is
         redefined by the reconstructed ``lui`` at the block head.
         """
+        pieces: list[tuple[Optional[str], str]] = []
         if smile_reg is None:
-            lines: list[str] = [f"li gp, {self.binary.global_pointer}"]
-        else:
-            lines = []
+            pieces.append((None, f"li gp, {self.binary.global_pointer}"))
         entry_labels: dict[int, str] = {}
 
-        def mark(addr: int) -> None:
+        def entry(addr: int, text: str) -> None:
             label = f".Lentry_{addr:x}"
             entry_labels[addr] = label
-            lines.append(f"{label}:")
+            pieces.append((label, text))
 
         for kind, payload in main:
             if kind == "copy":
-                mark(payload.addr)
-                lines.append(self._format_copy(payload))
+                entry(payload.addr, self._format_copy(payload))
             elif kind == "source":
-                mark(payload.addr)
                 body, _ = self.translator.translate(payload)
-                lines.append(body)
+                entry(payload.addr, body)
             else:  # upgrade
-                mark(payload.start)
-                lines.append(payload.replacement_asm)
-        lines.append(".Lexit_tramp:")
-        lines.append(".space 8")
+                entry(payload.start, payload.replacement_asm)
+        pieces.append((".Lexit_tramp", ".space 8"))
         if epilogue:
             for instr in epilogue:
-                mark(instr.addr)
-                lines.append(self._format_copy(instr))
-            lines.append(".Lepi_exit:")
-            lines.append("ebreak")
-        source_text = "\n".join(lines)
+                entry(instr.addr, self._format_copy(instr))
+            pieces.append((".Lepi_exit", "ebreak"))
 
-        # Blocks contain only pc-relative label references, so one
-        # assembly sizes the block and retargets to wherever the
-        # allocator places it — no second encode pass.
-        program = Assembler(base=0).assemble(source_text)
-        block_addr = self._alloc.place(window_start, len(program.code))
-        program = program.retarget(block_addr)
-        data = bytearray(program.code)
+        block_addr, data, labels = _link_pieces(
+            pieces, lambda size: self._alloc.place(window_start, size))
 
-        tramp_off = program.labels[".Lexit_tramp"] - block_addr
+        tramp_off = labels[".Lexit_tramp"] - block_addr
         # Deferred: the exit target may later be overwritten by another
         # site's window; _resolve_exits patches the final trampoline.
         self._exit_fixups.append((block_addr, tramp_off, exit_addr, exit_reg))
         if epilogue:
             # Cold path: erroneous entries resume at the window end via a trap.
-            self.trap_table[program.labels[".Lepi_exit"]] = window_end
+            self.trap_table[labels[".Lepi_exit"]] = window_end
 
-        entries = {addr: program.labels[label] for addr, label in entry_labels.items()}
+        entries = {addr: labels[label] for addr, label in entry_labels.items()}
         return block_addr, data, entries
 
     def _resolve_exits(self) -> None:
@@ -856,12 +865,10 @@ class ChbpPatcher:
                     continue
                 body, _ = self.translator.translate(instr)
                 resume = instr.addr + instr.length
-            source_text = f"{body}\nebreak"
-            program = Assembler(base=0).assemble(source_text)
-            block_addr = self._alloc.place_unconstrained(len(program.code))
-            program = program.retarget(block_addr)
-            self._blocks[block_addr] = bytes(program.code)
-            ebreak_addr = block_addr + len(program.code) - 4
+            block_addr, code, _ = _link_pieces(
+                [(None, body), (None, "ebreak")], self._alloc.place_unconstrained)
+            self._blocks[block_addr] = bytes(code)
+            ebreak_addr = block_addr + len(code) - 4
             self.trap_table[ebreak_addr] = resume
             trap = (
                 encode(Instruction("c.ebreak", length=2))

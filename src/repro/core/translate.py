@@ -16,8 +16,10 @@ Upgrade: fuse ``slli+add`` pairs into Zba ``shNadd``, and vectorize the
 two canonical element-wise / reduction loop idioms the workloads'
 "compiler" emits (:mod:`repro.core.upgrade`).
 
-Templates are emitted as assembly text and assembled by the patcher at
-the target block's final address; QEMU TCG plays this role in the paper.
+Templates are emitted as assembly text.  The patcher assembles each
+distinct template once and reuses its bytes at every site
+(:func:`repro.isa.assembler.assemble_piece`); QEMU TCG and its
+translation cache play this role in the paper.
 """
 
 from __future__ import annotations

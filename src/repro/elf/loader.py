@@ -70,3 +70,21 @@ def make_process(binary: Binary, *, name: Optional[str] = None) -> Process:
         gp=binary.global_pointer,
         sp=top - 64,  # small red zone below the top
     )
+
+
+def clone_process(template: Process, *, name: Optional[str] = None) -> Process:
+    """A fresh Process with *template*'s initial memory image.
+
+    Writable segments (data, ``.chimera.vregs``, stack) are copied.
+    Non-writable segments are shared by reference: ``AddressSpace.write``
+    refuses them, so only a kernel ``patch_code`` (which bumps the
+    segment's ``version``) can change them under every clone.  Callers
+    that may patch code must check those versions before cloning again.
+    """
+    space = AddressSpace(template.space.name)
+    for seg in template.space.segments:
+        if Perm.W in seg.perm:
+            seg = MemorySegment(seg.name, seg.base, bytearray(seg.data), seg.perm)
+        space.segments.append(seg)
+    return Process(name or template.name, space, template.entry,
+                   gp=template.gp, sp=template.sp)

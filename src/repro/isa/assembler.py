@@ -22,8 +22,9 @@ Pseudo-instructions: ``nop``, ``mv``, ``li``, ``la``, ``not``, ``neg``,
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.isa.encoding import encode
 from repro.isa.fields import fits_signed, split_hi_lo
@@ -121,31 +122,13 @@ class AssembledProgram:
     base: int
     #: True when the encodings are base-independent: every label
     #: reference in the supported syntax is pc-relative, so only
-    #: ``.align`` padding (whose width depends on the absolute pc) ties
-    #: code bytes to the assembly base.
+    #: ``.align`` padding (whose width depends on the absolute pc) and
+    #: ``la`` of a numeric address tie code bytes to the assembly base.
     relocatable: bool = True
 
     def label(self, name: str) -> int:
         """Absolute address of label *name*."""
         return self.labels[name]
-
-    def retarget(self, base: int) -> "AssembledProgram":
-        """The same program placed at *base* without re-assembling.
-
-        Valid only for relocatable programs (no ``.align``): code bytes
-        are identical at any base, so retargeting just shifts labels and
-        instruction addresses.  Callers that may assemble ``.align``
-        must fall back to a second :meth:`Assembler.assemble` pass.
-        """
-        if not self.relocatable:
-            raise ValueError("program uses .align; re-assemble at the new base")
-        delta = base - self.base
-        if delta == 0:
-            return self
-        instructions = [replace(i, addr=(i.addr + delta if i.addr is not None else None))
-                        for i in self.instructions]
-        labels = {name: addr + delta for name, addr in self.labels.items()}
-        return AssembledProgram(self.code, instructions, labels, base)
 
 
 class Assembler:
@@ -374,6 +357,8 @@ class Assembler:
                     relocatable = False
                 code.extend(item.data)
                 continue
+            if item.mnemonic == "la" and item.operands[-1] not in labels:
+                relocatable = False
             expanded = self._expand(item, labels)
             total = 0
             for instr in expanded:
@@ -433,3 +418,45 @@ def _expand_li(rd: int, value: int) -> list[Instruction]:
 def assemble(source: str, base: int = 0) -> AssembledProgram:
     """Module-level convenience wrapper around :class:`Assembler`."""
     return Assembler(base=base).assemble(source)
+
+
+#: Most distinct pieces :func:`assemble_piece` keeps assembled.
+PIECE_MEMO_SIZE = 4096
+
+_LOCAL_LABEL_RE = re.compile(r"\.L[\w.$]*")
+
+
+def _canonical_labels(source: str) -> str:
+    """*source* with its ``.L`` labels renamed ``.L0``, ``.L1``, ... in
+    order of first appearance.  The renaming is one-to-one and label
+    names never reach the encoding, so both texts assemble to the same
+    bytes; generators that number their labels per call (the
+    translator's ``.Lt<n>_`` prefix, the loop idioms' tags) then share
+    one key per template."""
+    if ".L" not in source:
+        return source
+    names: dict[str, str] = {}
+    return _LOCAL_LABEL_RE.sub(
+        lambda m: names.setdefault(m.group(), f".L{len(names)}"), source)
+
+
+@functools.lru_cache(maxsize=PIECE_MEMO_SIZE)
+def _assemble_piece_memo(source: str) -> bytes:
+    program = Assembler().assemble(source)
+    if not program.relocatable:
+        # Raised, so never stored: lru_cache keeps return values only.
+        raise AssemblyError("piece is not position-independent "
+                            "(.align or la of an absolute address)")
+    return program.code
+
+
+def assemble_piece(source: str) -> bytes:
+    """Machine code of a position-independent *source* fragment.
+
+    The bytes are the same at every base, so they are assembled once per
+    distinct text (labels canonicalized) and served from a bounded LRU
+    memo afterwards.  Labels must be local to the fragment.  A fragment
+    whose bytes depend on its address raises :class:`AssemblyError` and
+    is never memoized.
+    """
+    return _assemble_piece_memo(_canonical_labels(source))

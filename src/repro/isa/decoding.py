@@ -19,10 +19,12 @@ all of these, and the simulated CPU converts that into a SIGILL.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from repro.isa import opcodes as op
 from repro.isa.encoding import _BRANCH_TABLE, _LOAD_TABLE, _OP32_TABLE, _OP_TABLE, _OPIMM_TABLE, _STORE_TABLE
 from repro.isa.extensions import Extension
-from repro.isa.fields import bit, bits, sign_extend, u16, u32
+from repro.isa.fields import bit, bits, sign_extend
 from repro.isa.instructions import Instruction
 from repro.isa.registers import rvc_decode_reg
 
@@ -387,6 +389,20 @@ def _decode_c(parcel: int) -> Instruction:
     raise IllegalEncodingError(f"unimplemented Q2 funct3 {funct3:#b}", kind="reserved-compressed")
 
 
+#: Most distinct encodings :func:`decode` keeps decoded; a full memo is
+#: cleared.  No lock: every value is a pure function of its key, so a
+#: race between threads costs at most a redundant decode or an early
+#: clear, and a lock held across ``fork`` would deadlock the pool
+#: workers forked from a threaded service.
+DECODE_MEMO_SIZE = 1 << 14
+
+#: Legal encodings -> every ``Instruction`` field but the last,
+#: ``addr``, in constructor order.  Keys are 16-bit parcels (low bits
+#: != 11) or 32-bit words (low bits == 11), so the two never collide.
+_DECODE_MEMO: dict[int, tuple] = {}
+_MEMO_FIELDS = tuple(f.name for f in fields(Instruction) if f.name != "addr")
+
+
 def decode(data: bytes | bytearray | memoryview, offset: int = 0, addr: int | None = None) -> Instruction:
     """Decode one instruction starting at *offset* in *data*.
 
@@ -394,17 +410,25 @@ def decode(data: bytes | bytearray | memoryview, offset: int = 0, addr: int | No
     pc-relative targets can be resolved.  Raises
     :class:`IllegalEncodingError` for truncated input, reserved
     encodings, and encodings outside the implemented subset.
+
+    Each legal encoding is decoded once and memoized; every call still
+    returns a fresh ``Instruction`` the caller may mutate.  Illegal
+    encodings raise on every call and are never memoized.
     """
     if offset + 2 > len(data):
         raise IllegalEncodingError("truncated instruction stream", kind="truncated")
-    parcel = u16(data, offset)
-    length = instruction_length(parcel)
-    if length == 2:
-        instr = _decode_c(parcel)
-    else:
+    # u16/u32 inlined: this runs once per decoded instruction.
+    key = data[offset] | (data[offset + 1] << 8)
+    if instruction_length(key) == 4:
         if offset + 4 > len(data):
             raise IllegalEncodingError("truncated 32-bit instruction", kind="truncated")
-        instr = _decode32(u32(data, offset))
-    if addr is not None:
-        instr.addr = addr
+        key |= (data[offset + 2] << 16) | (data[offset + 3] << 24)
+    memo = _DECODE_MEMO.get(key)
+    if memo is not None:
+        return Instruction(*memo, addr=addr)
+    instr = _decode32(key) if key & 0b11 == 0b11 else _decode_c(key)
+    if len(_DECODE_MEMO) >= DECODE_MEMO_SIZE:
+        _DECODE_MEMO.clear()
+    _DECODE_MEMO[key] = tuple(getattr(instr, name) for name in _MEMO_FIELDS)
+    instr.addr = addr
     return instr

@@ -20,6 +20,11 @@ kind/address) also count as a match — the window's observable behavior
 is identical.  Trials that exhaust the step budget are reported as
 ``inconclusive``, never silently folded into a pass.
 
+Trial processes are cloned from one pristine template per side
+(:func:`~repro.elf.loader.clone_process`): writable segments are copied
+per trial, read-only code is shared, and a template whose shared code
+a trial patched is rebuilt before the next trial.
+
 Randomness is seeded from ``REPRO_FUZZ_SEED`` (see
 :mod:`repro.resilience.seeds`) xor'd with the region address and trial
 index, so a failing trial reproduces byte-for-byte.
@@ -34,7 +39,7 @@ from repro.analysis.cfg import build_cfg
 from repro.analysis.liveness import LivenessAnalysis
 from repro.analysis.scan import RecursiveScanner
 from repro.elf.binary import Binary, Perm
-from repro.elf.loader import make_process
+from repro.elf.loader import clone_process, make_process
 from repro.isa.extensions import PROFILES
 from repro.isa.registers import Reg
 from repro.resilience.seeds import resolve_seed
@@ -46,7 +51,7 @@ from repro.sim.faults import (
     SimFault,
     UnrecoverableFault,
 )
-from repro.sim.machine import Core, Kernel
+from repro.sim.machine import Core, Kernel, Process
 from repro.verify.records import PatchRecord
 
 #: Registers the trials never randomize: zero, and the ABI-pinned
@@ -113,6 +118,9 @@ class DifferentialOracle:
         #: computed exactly this to prove exit registers dead; passing it
         #: in skips a redundant scan+cfg+dataflow pass.
         self._liveness = liveness
+        #: Per side: the pristine process trials are cloned from, and
+        #: the (segment, version) pairs of its shared read-only segments.
+        self._templates: dict[str, tuple[Process, tuple]] = {}
 
     # -- analysis (matches the patcher's own parameters) --------------------
 
@@ -120,9 +128,12 @@ class DifferentialOracle:
         """Force the lazy liveness analysis now.
 
         Call before fanning ``check_region`` out across threads so the
-        one-shot mutation happens on a single thread.
+        one-shot mutations (liveness, trial templates) happen on a
+        single thread.
         """
         self._dead_at(self.original.entry)
+        self._template("o")
+        self._template("r")
 
     def _dead_at(self, addr: int) -> frozenset:
         if self._liveness is None:
@@ -141,9 +152,21 @@ class DifferentialOracle:
             outcomes.append(self._run_trial(rec, rng))
         return outcomes
 
+    def _template(self, side: str) -> Process:
+        """Side *side*'s pristine process ("o" original, "r" rewritten),
+        rebuilt if a trial patched its shared code."""
+        entry = self._templates.get(side)
+        if entry is None or any(seg.version != v for seg, v in entry[1]):
+            binary = self.original if side == "o" else self.rewritten
+            template = make_process(binary, name=f"{binary.name}@oracle-{side}")
+            shared = tuple((seg, seg.version) for seg in template.space.segments
+                           if Perm.W not in seg.perm)
+            entry = self._templates[side] = (template, shared)
+        return entry[0]
+
     def _run_trial(self, rec: PatchRecord, rng: random.Random) -> str:
-        o_proc = make_process(self.original, name=f"{self.original.name}@oracle-o")
-        r_proc = make_process(self.rewritten, name=f"{self.rewritten.name}@oracle-r")
+        o_proc = clone_process(self._template("o"))
+        r_proc = clone_process(self._template("r"))
         regs = self._trial_regs(rng, o_proc)
         self._scribble(rng, o_proc, r_proc)
 
