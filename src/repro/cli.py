@@ -59,7 +59,7 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="verification workers "
                              "(1 = serial; results are identical either way)")
-    parser.add_argument("--executor", choices=("serial", "thread", "process"),
+    parser.add_argument("--executor", choices=("serial", "process"),
                         default=None,
                         help="verification executor (default: process when "
                              "--jobs > 1, else serial); process isolates "
@@ -774,7 +774,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="machine-wide verification-worker budget shared "
                         "fairly across concurrent jobs (default: CPU count)")
-    p.add_argument("--executor", choices=("serial", "thread", "process"),
+    p.add_argument("--executor", choices=("serial", "process"),
                    default=None,
                    help="per-job verification executor (default: auto)")
     p.add_argument("--oracle-trials", type=int, default=None,

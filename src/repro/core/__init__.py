@@ -8,8 +8,11 @@ Public entry points:
   handling that recovers the deterministic faults SMILE raises;
 * :class:`~repro.core.mmview.MMViewProcess` — the multi-address-space
   process model used for cross-core migration;
-* :class:`~repro.core.scheduler.WorkStealingScheduler` — the
-  heterogeneous task scheduler used by the evaluation.
+* :func:`~repro.core.scheduler.schedule` — the one work-stealing event
+  loop of the evaluation; :class:`~repro.core.scheduler.WorkStealingScheduler`
+  runs it on model-table costs (the DES) and
+  :class:`~repro.core.machine_runner.MeasuredScheduler` on measured
+  executions of the real binaries.
 """
 
 from repro.core.rewriter import ChimeraRewriter, RewriteResult

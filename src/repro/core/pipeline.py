@@ -13,14 +13,13 @@ A region that exhausts its retries is quarantined and **degraded** —
 re-admitted on the verified trap-fallback encoding
 (:mod:`repro.verify.degrade`) or excluded — so a release always
 completes with a machine-readable account of what was verified,
-degraded, or refused.  ``--executor thread`` keeps the old shared
-interpreter fan-out for debugging; results are deterministic for any
-executor and job count: each oracle trial's RNG is derived from
-``(seed, region, trial)`` alone and verdicts are merged in record
-order, so the rewritten bytes and the
+degraded, or refused.  ``--executor serial`` verifies in-line for
+debugging; results are deterministic for any executor and job count:
+each oracle trial's RNG is derived from ``(seed, region, trial)`` alone
+and verdicts are merged in record order, so the rewritten bytes and the
 :class:`~repro.verify.report.VerifyReport` ledger are byte-identical
-whether the pipeline ran serial, threaded, process-parallel, resumed,
-or from cache — on fault-free inputs.
+whether the pipeline ran serial, process-parallel, resumed, or from
+cache — on fault-free inputs.
 
 The cache is content-addressed: the key hashes the *input* binary's
 sections, the rewriter configuration, and the gate configuration
@@ -64,6 +63,7 @@ from repro.resilience.failures import (
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.seeds import resolve_seed
 from repro.telemetry import current as telemetry_current
+from repro.verify.admission import resolve_executor
 from repro.verify.report import RegionVerdict, VerifyReport
 
 #: Bump whenever the rewrite or verification output format changes in a
@@ -650,9 +650,8 @@ def rewrite_and_verify(
 ) -> PipelineResult:
     """Translate *binary* for *target_profile* and admission-verify it.
 
-    ``executor`` is "serial", "thread", or "process"; None auto-selects
-    "process" when ``jobs > 1`` (fault isolation plus real parallelism
-    for the pure-Python oracle) and "serial" otherwise.  ``degrade``
+    ``executor`` is "serial" or "process"; None picks by ``jobs``
+    (:func:`~repro.verify.admission.resolve_executor`).  ``degrade``
     picks what happens to a region that exhausts its retry budget:
     "trap" re-admits it on the verified trap-fallback encoding,
     "exclude" drops it with the fault recorded in the ledger.
@@ -679,8 +678,7 @@ def rewrite_and_verify(
     rewriter = rewriter or ChimeraRewriter()
     seed = resolve_seed(seed)
     telemetry = telemetry_current()
-    if executor is None:
-        executor = "process" if jobs > 1 else "serial"
+    executor = resolve_executor(executor, jobs)
     if degrade not in ("trap", "exclude"):
         raise ValueError(f"degrade must be 'trap' or 'exclude', not {degrade!r}")
     gate_config = {

@@ -13,7 +13,9 @@ exception — and the schedulers must keep forward progress.
 :class:`CoreFailureInjector` drives the measured execution path
 (real binaries in the CPU simulator); :class:`DesFailurePlan` drives the
 discrete-event scheduler, where "mid-task" is a fraction of the task's
-modeled cost.
+modeled cost.  Both engines run one event loop
+(:func:`repro.core.scheduler.schedule`), so a failure takes the same
+quarantine/retry/degradation path in either.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ WORKER_CRASH = "worker-crash"
 #: deadline (hung CFG walk, stuck oracle).
 WORKER_HANG = "worker-hang"
 #: A structured exception escaped the per-region checks in-process
-#: (serial/thread executors, or caught inside a worker).
+#: (serial executor, or caught inside a worker).
 VERIFY_ERROR = "verify-error"
 #: The process pool itself failed to come up; the pipeline fell back to
 #: in-process verification.
@@ -346,6 +348,9 @@ class DesFailure:
 class DesFailurePlan:
     """Failure schedule for :class:`~repro.core.scheduler.WorkStealingScheduler`.
 
+    Consulted by the model-table cost source each time a worker starts
+    an attempt; the shared scheduler event loop then quarantines,
+    retries and degrades exactly as it does for measured execution.
     ``fail_fraction`` is how much of the victim task's cost the core
     burns before failing (the DES has no instruction counter).
     """

@@ -1,6 +1,7 @@
 """Retry/backoff policy and the resilience counters.
 
-The degradation ladder both schedulers implement:
+The degradation ladder the scheduler event loop
+(:func:`repro.core.scheduler.schedule`) implements for both engines:
 
 1. a failed execution is retried with exponential backoff, up to a
    per-task attempt budget and optional cycle deadline;
@@ -14,7 +15,7 @@ The degradation ladder both schedulers implement:
    never a hang, never a silent drop.
 
 :class:`ResilienceStats` is the ledger for all of it, reported through
-``MeasuredRunResult`` / ``ScheduleResult``.
+``ScheduleResult``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.chaos.outcomes import ScenarioResult
-from repro.core.machine_runner import HeteroTask, MeasuredRunResult, MeasuredScheduler
+from repro.core.machine_runner import HeteroTask, MeasuredScheduler
+from repro.core.scheduler import ScheduleResult
 from repro.resilience.failures import (
     CORRUPT_CHECKPOINT,
     DROP_MIGRATION,
@@ -42,7 +43,7 @@ def small_taskset(n_base: int = 4, n_ext: int = 4) -> list[HeteroTask]:
     return tasks
 
 
-def _forward_progress(name: str, result: MeasuredRunResult,
+def _forward_progress(name: str, result: ScheduleResult,
                       n_tasks: int) -> Optional[ScenarioResult]:
     """The contract every scenario shares; None when it holds."""
     accounted = result.completed + result.unrecoverable

@@ -92,6 +92,9 @@ class TestScheduling:
         tasks = [Task(i, "ext") for i in range(20)]
         result = WorkStealingScheduler(2, 2, ARCH).run(tasks, fam_model())
         assert result.migrations > 0
+        # Every migration here is a base core stealing an extension
+        # task, and a steal counts when it is taken, not when it ends.
+        assert result.steals >= result.migrations
         assert result.accelerated_share == 1.0  # all end up on ext cores
         # Each migration is bounced back exactly once (pinning works).
         assert result.migrations <= len(tasks)

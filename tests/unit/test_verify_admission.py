@@ -34,6 +34,15 @@ def smile_records(rewritten):
     return [r for r in records if r.kind in ("smile", "smile-dp")]
 
 
+def test_gate_default_executor_follows_jobs(rewrite):
+    """No executor given: process when jobs > 1, otherwise serial."""
+    original, rewritten = rewrite
+    assert AdmissionGate(original, rewritten).executor == "serial"
+    assert AdmissionGate(original, rewritten, jobs=2).executor == "process"
+    with pytest.raises(ValueError):
+        AdmissionGate(original, rewritten, jobs=2, executor="thread")
+
+
 def test_gate_admits_clean_rewrite(rewrite):
     original, rewritten = rewrite
     report = verify_binary(original, rewritten)
