@@ -131,6 +131,7 @@ class _MeasuredCosts(CostSource):
         binary, runtime_kind = _prepared_binary(self.system, task.kind,
                                                 task.size, on_ext)
         factory = None
+        runtimes = []   # the one runtime the factory builds, if any
         if runtime_kind is not None:
             def factory(kernel):
                 # self_heal: an unexpected fault in a patched region
@@ -139,6 +140,7 @@ class _MeasuredCosts(CostSource):
                 runtime = (ChimeraRuntime(binary, self_heal=True)
                            if runtime_kind == "chimera" else SaferRuntime(binary))
                 runtime.install(kernel)
+                runtimes.append(runtime)
                 return runtime
         runner = self.runner
         execution = run_task_on_core(
@@ -148,11 +150,13 @@ class _MeasuredCosts(CostSource):
             checkpoint=checkpoint, fail_event=fail_event, injector=injector,
         )
 
-        if execution.patch_rollbacks:
-            metrics.inc("resilience.patch_rollbacks", execution.patch_rollbacks)
-        if execution.patch_readmissions:
-            metrics.inc("resilience.patch_readmissions",
-                        execution.patch_readmissions)
+        if runtimes and runtime_kind == "chimera":
+            heal = runtimes[0].stats
+            if heal.patch_rollbacks:
+                metrics.inc("resilience.patch_rollbacks", heal.patch_rollbacks)
+            if heal.patch_readmissions:
+                metrics.inc("resilience.patch_readmissions",
+                            heal.patch_readmissions)
         if execution.checkpoint_corrupt:
             return Attempt(CHECKPOINT_CORRUPT)
         if execution.core_failure is not None:

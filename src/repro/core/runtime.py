@@ -20,7 +20,7 @@ produces and lazily rewrites unrecognized extension instructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.fault_table import FaultTable
@@ -36,36 +36,47 @@ from repro.sim.faults import (
 )
 from repro.sim.machine import Kernel, Process
 from repro.telemetry import current as telemetry_current
+from repro.telemetry.metrics import Count, CounterView
 
 #: Default bound on consecutive zero-progress recoveries before the
 #: runtime declares a fault loop and aborts with diagnostics.
 DEFAULT_MAX_RECOVERY_DEPTH = 8
 
 
-@dataclass
-class RuntimeStats:
-    """Dynamic fault-handling counters (these feed Table 2)."""
+@dataclass(frozen=True)
+class RuntimeStats(CounterView):
+    """Dynamic fault-handling counters (these feed Table 2).
 
-    smile_segv_recoveries: int = 0
-    smile_sigill_recoveries: int = 0
-    runtime_rewrites: int = 0
-    trap_redirects: int = 0
-    signals_gp_restored: int = 0
+    A read-only, live view: :meth:`ChimeraRuntime._record` counts each
+    event once, by its ``runtime.events`` kind, and mirrors it into the
+    active telemetry session; every field here reads those counts.
+    """
+
+    events: dict
+
+    smile_segv_recoveries = Count("smile_segv_recovery")
+    smile_sigill_recoveries = Count("smile_sigill_recovery")
+    runtime_rewrites = Count("runtime_rewrite")
+    trap_redirects = Count("trap_redirect")
+    signals_gp_restored = Count("signal_gp_restored")
     #: Faults the runtime owned (patched-region pc) but could not
     #: recover — corrupted/missing fault-table entries and the like.
-    unrecoverable_faults: int = 0
+    unrecoverable_faults = Count("unrecoverable_fault")
     #: Patched-region fault-table lookups that came back empty.
-    fault_table_misses: int = 0
+    fault_table_misses = Count("fault_table_miss")
     #: Recovery chains aborted by the recovery-depth guard.
-    recovery_loop_aborts: int = 0
+    recovery_loop_aborts = Count("recovery_loop_abort")
     #: Owned faults whose patched region no longer held the recorded
     #: patch bytes (corruption, distinct from a table miss on an
     #: intact trampoline).
-    corrupted_patch_faults: int = 0
+    corrupted_patch_faults = Count("corrupted_patch_fault")
     #: Self-healing: patches quarantined back to the fallback encoding,
     #: and patches re-verified and re-applied after their backoff.
-    patch_rollbacks: int = 0
-    patch_readmissions: int = 0
+    patch_rollbacks = Count("patch_rollback")
+    patch_readmissions = Count("patch_readmission")
+
+    def read(self, series: str, labels: dict) -> int:
+        return self.events.get(series, 0)
 
     @property
     def deterministic_faults(self) -> int:
@@ -73,7 +84,7 @@ class RuntimeStats:
         return self.smile_segv_recoveries + self.smile_sigill_recoveries + self.runtime_rewrites
 
     def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
+        return self.counts()
 
 
 class ChimeraRuntime:
@@ -112,7 +123,10 @@ class ChimeraRuntime:
         self.patched_regions: list[tuple[int, int]] = [
             (lo, hi) for lo, hi in meta.get("migration_unsafe", ())
         ]
-        self.stats = RuntimeStats()
+        #: Event counts by ``runtime.events`` kind: the runtime's one
+        #: counter store (:attr:`stats` is a view of it).
+        self.events: dict[str, int] = {}
+        self.stats = RuntimeStats(self.events)
         #: Recovery-depth guard: a recovered fault that faults again
         #: before retiring a single instruction is a loop (e.g. a
         #: corrupted redirect, or a runtime rewrite that re-faults);
@@ -146,9 +160,11 @@ class ChimeraRuntime:
         kernel.register_fault_handler(self.handle_fault, priority=True)
         kernel.pre_signal_hooks.append(self._signal_gp_restore)
 
-    @staticmethod
-    def _record(event: str) -> None:
-        """Mirror a runtime event into the active telemetry (if any)."""
+    def _record(self, event: str) -> None:
+        """Count one runtime event and mirror it into the active
+        telemetry (if any).  Runs per fault, so the store is a plain
+        dict and the session write stays behind ``enabled``."""
+        self.events[event] = self.events.get(event, 0) + 1
         telemetry = telemetry_current()
         if telemetry.enabled:
             telemetry.metrics.inc("runtime.events", kind=event)
@@ -176,9 +192,7 @@ class ChimeraRuntime:
             if self._recovery_streak >= self.max_recovery_depth:
                 if self._try_heal(kernel, process, cpu, fault, fault_pc):
                     return True
-                self.stats.recovery_loop_aborts += 1
                 self._record("recovery_loop_abort")
-                self.stats.unrecoverable_faults += 1
                 self._record("unrecoverable_fault")
                 raise UnrecoverableFault(
                     f"fault-recovery loop: {self._recovery_streak} consecutive "
@@ -224,13 +238,10 @@ class ChimeraRuntime:
             if self._try_heal(kernel, process, cpu, fault, fault_pc):
                 return True
             if not looping:
-                self.stats.fault_table_misses += 1
                 self._record("fault_table_miss")
-            self.stats.unrecoverable_faults += 1
             self._record("unrecoverable_fault")
             verdict = self._classify_patched_encoding(process, fault_pc)
             if verdict == "corrupted":
-                self.stats.corrupted_patch_faults += 1
                 self._record("corrupted_patch_fault")
             context = self._fault_context(cpu)
             context["patch_encoding"] = verdict
@@ -323,8 +334,6 @@ class ChimeraRuntime:
             cpu.set_reg(Reg.GP, self.gp_value)  # undo the SMILE clobber
             cpu.pc = redirect
             cpu.cycles += cpu.cost.fault_handling_cost
-            cpu.bump("chimera_faults")
-            self.stats.smile_segv_recoveries += 1
             self._record("smile_segv_recovery")
             return True
         # Fig. 5 variant: the return address sits in a general register;
@@ -340,8 +349,6 @@ class ChimeraRuntime:
                 # redefines the register immediately.
                 cpu.pc = redirect
                 cpu.cycles += cpu.cost.fault_handling_cost
-                cpu.bump("chimera_faults")
-                self.stats.smile_segv_recoveries += 1
                 self._record("smile_segv_recovery")
                 return True
         return False
@@ -356,8 +363,6 @@ class ChimeraRuntime:
             cpu.set_reg(Reg.GP, self.gp_value)
             cpu.pc = redirect
             cpu.cycles += cpu.cost.fault_handling_cost
-            cpu.bump("chimera_faults")
-            self.stats.smile_sigill_recoveries += 1
             self._record("smile_sigill_recovery")
             return True
         if fault.kind == "unsupported-extension":
@@ -373,7 +378,6 @@ class ChimeraRuntime:
         cpu.pc = target
         cpu.cycles += cpu.cost.trap_cost
         cpu.bump("traps")
-        self.stats.trap_redirects += 1
         self._record("trap_redirect")
         return True
 
@@ -395,7 +399,6 @@ class ChimeraRuntime:
         except KeyError as exc:
             # Structured degradation: corrupted rewriting metadata must
             # never escape as a bare KeyError traceback.
-            self.stats.unrecoverable_faults += 1
             self._record("unrecoverable_fault")
             raise UnrecoverableFault(
                 f"runtime rewrite at {cpu.pc:#x}: rewriting metadata is corrupt",
@@ -441,7 +444,6 @@ class ChimeraRuntime:
             self.injector.after_rewrite(self, process, cpu)
         cpu.cycles += cpu.cost.fault_handling_cost * 4  # rewrite is heavier
         cpu.bump("runtime_rewrites")
-        self.stats.runtime_rewrites += 1
         self._record("runtime_rewrite")
         return True
 
@@ -513,7 +515,6 @@ class ChimeraRuntime:
         the ABI gp value."""
         if cpu.get_reg(Reg.GP) != self.gp_value:
             cpu.set_reg(Reg.GP, self.gp_value)
-            self.stats.signals_gp_restored += 1
             self._record("signal_gp_restored")
 
 

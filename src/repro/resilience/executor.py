@@ -39,10 +39,6 @@ class TaskExecution:
     checkpoint_corrupt: bool = False
     #: The attempt resumed successfully from a checkpoint.
     resumed: bool = False
-    #: Self-healing counters from the attempt's runtime (verified
-    #: patching): patches quarantined / re-admitted during this run.
-    patch_rollbacks: int = 0
-    patch_readmissions: int = 0
 
 
 def run_task_on_core(
@@ -96,10 +92,6 @@ def run_task_on_core(
     )
     cycles = cpu.cycles - start_cycles
 
-    heal_stats = getattr(runtime, "stats", None)
-    rollbacks = getattr(heal_stats, "patch_rollbacks", 0)
-    readmissions = getattr(heal_stats, "patch_readmissions", 0)
-
     if isinstance(result.fault, CoreFault):
         cpu.step_hook = None
         if result.fault.mode == "dead":
@@ -115,10 +107,8 @@ def run_task_on_core(
         return TaskExecution(
             cycles=cycles, ok=False, fault=result.fault,
             core_failure=result.fault.mode, checkpoint=ck, resumed=resumed,
-            patch_rollbacks=rollbacks, patch_readmissions=readmissions,
         )
     return TaskExecution(
         cycles=cycles, ok=result.ok, fault=result.fault,
         exit_code=result.exit_code, resumed=resumed,
-        patch_rollbacks=rollbacks, patch_readmissions=readmissions,
     )

@@ -199,8 +199,6 @@ class PatchHealer:
         for saddr, slen, _, _, _ in entry.heal_patches:
             cpu.invalidate_code(saddr, slen)
         cpu.cycles += cpu.cost.fault_handling_cost * 4  # rollback is heavy
-        cpu.bump("patch_rollbacks")
-        rt.stats.patch_rollbacks += 1
         rt._record("patch_rollback")
         return True
 
@@ -313,7 +311,6 @@ class PatchHealer:
             readmitted += 1
             for addr, length in spans:
                 cpu.invalidate_code(addr, length)
-            self.runtime.stats.patch_readmissions += 1
             self.runtime._record("patch_readmission")
         return readmitted
 
