@@ -42,6 +42,7 @@ from repro.isa.extensions import RV64GC, RV64GCV, IsaProfile
 from repro.sim.faults import EcallTrap, ExitRequest, SimFault, UnrecoverableFault
 from repro.sim.machine import SIGSEGV, Core, Kernel
 from repro.sim.syscalls import handle_syscall
+from repro.telemetry import NULL_TELEMETRY, use
 
 #: Patching modes a sweep covers: the SMILE design and the all-trap
 #: fallback configuration (the paper's residue path, made total).
@@ -483,8 +484,11 @@ def scenario_trace_tier_sweep() -> ScenarioResult:
                  process.space.read_u64(binary.symbol_addr("buf") + 8))
         return state, res
 
-    base_state, base_res = attacked_run(trace_cache=False)
-    trace_state, trace_res = attacked_run(trace_threshold=1)
+    # An active session attaches the per-instruction tally tracer, which
+    # forces the step fallback: the trace tier under test would never run.
+    with use(NULL_TELEMETRY):
+        base_state, base_res = attacked_run(trace_cache=False)
+        trace_state, trace_res = attacked_run(trace_threshold=1)
     if not base_res.ok:
         return ScenarioResult(
             name, False, f"baseline run died after bitrot: {base_res.fault!r}")
