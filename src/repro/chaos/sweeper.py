@@ -128,10 +128,9 @@ class TrampolineAttackSweeper:
                     result.detail = ("verifier admitted this region; "
                                      + result.detail)
                 report.results.append(result)
-                if telemetry.enabled:
-                    telemetry.metrics.inc(
-                        "chaos.outcomes", mode=mode, outcome=result.outcome)
-        if telemetry.enabled and report.skipped_regions:
+                telemetry.metrics.inc(
+                    "chaos.outcomes", mode=mode, outcome=result.outcome)
+        if report.skipped_regions:
             telemetry.metrics.inc(
                 "chaos.skipped_regions", report.skipped_regions, mode=mode)
         return report

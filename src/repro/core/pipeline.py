@@ -234,9 +234,8 @@ def _repair_entry(cache_dir: Path, key: str, *, reason: str) -> None:
         except OSError:
             pass
     if removed:
-        telemetry = telemetry_current()
-        if telemetry.enabled:
-            telemetry.metrics.inc("pipeline.cache_repairs", reason=reason)
+        telemetry_current().metrics.inc("pipeline.cache_repairs",
+                                        reason=reason)
 
 
 def _load_cached(
@@ -327,8 +326,7 @@ def _gc_orphans(cache_dir: Path, *, ttl: float = _ORPHAN_TTL,
         except OSError:
             continue
         swept["temps"] += 1
-        if telemetry.enabled:
-            telemetry.metrics.inc("pipeline.cache_orphans_gc")
+        telemetry.metrics.inc("pipeline.cache_orphans_gc")
     journal_dir = cache_dir / "journal"
     if journal_dir.is_dir():
         for journal in journal_dir.glob("*.jsonl"):
@@ -339,8 +337,7 @@ def _gc_orphans(cache_dir: Path, *, ttl: float = _ORPHAN_TTL,
             except OSError:
                 continue
             swept["journals"] += 1
-            if telemetry.enabled:
-                telemetry.metrics.inc("pipeline.journal_orphans_gc")
+            telemetry.metrics.inc("pipeline.journal_orphans_gc")
     return swept
 
 
@@ -394,8 +391,7 @@ def _evict_lru(cache_dir: Path, budget_bytes: int,
                 pass
         total -= size
         evicted += 1
-        if telemetry.enabled:
-            telemetry.metrics.inc("pipeline.cache_evictions")
+        telemetry.metrics.inc("pipeline.cache_evictions")
     return evicted
 
 
@@ -593,10 +589,9 @@ def _degrade_quarantined(
             resolution = RESOLVED_DEGRADED if admitted else RESOLVED_EXCLUDED
             for fault in region_faults:
                 fault.resolution = resolution
-            if telemetry.enabled:
-                telemetry.metrics.inc(
-                    "pipeline.regions_degraded",
-                    outcome="degraded-trap" if admitted else "excluded")
+            telemetry.metrics.inc(
+                "pipeline.regions_degraded",
+                outcome="degraded-trap" if admitted else "excluded")
 
 
 def _verify_degraded(original, result, new_records, gate_config, liveness):
@@ -697,18 +692,16 @@ def rewrite_and_verify(
         _gc_orphans(cache_path)
         cached = _load_cached(cache_path, key, target_profile)
         if cached is not None:
-            if telemetry.enabled:
-                telemetry.metrics.inc("pipeline.rewrite_cache_hits",
-                                      binary=binary.name,
-                                      target=target_profile.name)
+            telemetry.metrics.inc("pipeline.rewrite_cache_hits",
+                                  binary=binary.name,
+                                  target=target_profile.name)
             result, report = cached
             if on_progress is not None:
                 on_progress("cache-hit", key=key)
             return PipelineResult(result, report, cache_hit=True)
-        if telemetry.enabled:
-            telemetry.metrics.inc("pipeline.rewrite_cache_misses",
-                                  binary=binary.name,
-                                  target=target_profile.name)
+        telemetry.metrics.inc("pipeline.rewrite_cache_misses",
+                              binary=binary.name,
+                              target=target_profile.name)
 
     # Attribute access at call time so tests monkeypatching
     # ``repro.verify.verify_binary`` intercept the pipeline too.
@@ -738,11 +731,10 @@ def rewrite_and_verify(
                         idx: (RegionVerdict.from_dict(verdict), oracle_ran)
                         for idx, (verdict, oracle_ran) in loaded.items()}
                     resumed = len(precomputed)
-                    if telemetry.enabled:
-                        telemetry.metrics.inc("pipeline.journal_resumes",
-                                              binary=binary.name)
-                        telemetry.metrics.inc("pipeline.regions_resumed",
-                                              resumed, binary=binary.name)
+                    telemetry.metrics.inc("pipeline.journal_resumes",
+                                          binary=binary.name)
+                    telemetry.metrics.inc("pipeline.regions_resumed",
+                                          resumed, binary=binary.name)
             journal.start(resumed)
 
         settled = resumed

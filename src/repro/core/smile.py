@@ -264,11 +264,6 @@ class SmileTextAllocator:
         return addr
 
     @property
-    def used_span(self) -> int:
-        """Total section span including internal gaps."""
-        return self.cursor - self.base
-
-    @property
     def gap_bytes(self) -> int:
         """Bytes lost to placement constraints (still-free gaps)."""
         return sum(ge - gs for gs, ge in self.free) + getattr(self, "_dropped", 0)

@@ -79,10 +79,8 @@ _BREAKER_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1}
 
 
 def _gauge_breaker(breaker: CircuitBreaker) -> None:
-    telemetry = telemetry_current()
-    if telemetry.enabled:
-        telemetry.metrics.gauge("service.breaker_state",
-                                _BREAKER_GAUGE.get(breaker.state, 2))
+    telemetry_current().metrics.gauge("service.breaker_state",
+                                      _BREAKER_GAUGE.get(breaker.state, 2))
 
 
 async def open_connection(address: str):
@@ -333,9 +331,8 @@ async def submit_jobs(
                                 # fault: a resume, re-attached through
                                 # the server's release-key dedup.
                                 record["resumed"] = True
-                                if telemetry.enabled:
-                                    telemetry.metrics.inc(
-                                        "service.client_resumes")
+                                telemetry.metrics.inc(
+                                    "service.client_resumes")
                     fault_info = record.get("fault") or {}
                     fault = fault_info.get("fault")
                     transient = (record["status"] == "failed"

@@ -10,10 +10,12 @@ the chaos sweeper — consult :func:`current` and record into whatever is
 active.
 
 When nothing is active, :func:`current` returns :data:`NULL_TELEMETRY`,
-whose ``enabled`` flag is False and whose sinks are no-ops.  Every
-instrumented site is gated on that flag (and the per-instruction tally
-tracer is only *attached* when enabled), so disabled telemetry costs
-nothing on the simulator's hot path.
+whose ``enabled`` flag is False and whose sinks are no-ops.  Per-job
+and per-region sites record into the sink directly; sites that run per
+fault or per instruction, or compute their arguments, are gated on that
+flag (and the per-instruction tally tracer is only *attached* when
+enabled), so disabled telemetry costs nothing on the simulator's hot
+path.
 
 Typical use::
 

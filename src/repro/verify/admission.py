@@ -194,10 +194,9 @@ class AdmissionGate:
                 if not oracle_ran:
                     report.oracle_skipped += 1
                 report.regions.append(verdict)
-                if telemetry.enabled:
-                    telemetry.metrics.inc(
-                        "verify.regions", kind=verdict.kind,
-                        admitted=str(verdict.admitted).lower())
+                telemetry.metrics.inc(
+                    "verify.regions", kind=verdict.kind,
+                    admitted=str(verdict.admitted).lower())
         faults.sort(key=lambda f: (f.start, f.attempt, f.fault))
         report.faults.extend(faults)
         return report
@@ -280,9 +279,8 @@ class AdmissionGate:
             # The pool itself could not be brought up (payload failed to
             # unpickle, fork bomb guard, ...).  Verification must still
             # complete: record the fault and finish in-process.
-            if telemetry.enabled:
-                telemetry.metrics.inc("pipeline.pool_fallbacks",
-                                      binary=self.rewritten.name)
+            telemetry.metrics.inc("pipeline.pool_fallbacks",
+                                  binary=self.rewritten.name)
             first, last = self.records[0], self.records[-1]
             faults.append(RegionFault(
                 start=first.start, end=last.end, region_kind="pipeline",
@@ -328,13 +326,11 @@ class AdmissionGate:
                 region_faults.append(fault)
                 if self.retry_policy.exhausted(attempt + 1):
                     fault.resolution = RESOLVED_QUARANTINED
-                    if telemetry.enabled:
-                        telemetry.metrics.inc("pipeline.regions_quarantined",
-                                              binary=self.rewritten.name)
-                    return None, False, region_faults
-                if telemetry.enabled:
-                    telemetry.metrics.inc("pipeline.region_retries",
+                    telemetry.metrics.inc("pipeline.regions_quarantined",
                                           binary=self.rewritten.name)
+                    return None, False, region_faults
+                telemetry.metrics.inc("pipeline.region_retries",
+                                      binary=self.rewritten.name)
                 time.sleep(self.retry_policy.backoff_seconds(attempt))
                 attempt += 1
 
