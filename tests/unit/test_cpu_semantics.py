@@ -698,14 +698,17 @@ def _tier_cpu(code: bytes, tier: str) -> Cpu:
                trace_cache=tier == "trace", trace_threshold=1)
 
 
-def _restart(cpu: Cpu, regs: list) -> Cpu:
+def _restart(cpu: Cpu, regs: list, data: bytes = DATA_BYTES) -> Cpu:
     """Fresh architectural state and counters; decode, block and trace
     caches survive, so later value sets also run already-bound code."""
     cpu.regs[:] = regs
     cpu.pc = TEXT
     cpu.instret = cpu.cycles = 0
     cpu.counters.clear()
-    cpu.space.segment_at(DATA).data[:] = DATA_BYTES
+    cpu.space.segment_at(DATA).data[:] = data
+    for vreg in cpu.vector.regs:
+        vreg[:] = bytes(len(vreg))
+    cpu.vector.vl, cpu.vector.sew = 0, 64
     return cpu
 
 
@@ -724,11 +727,10 @@ def _run_tier(cpu: Cpu, tier: str, limit: int = 1000):
 
 def _table_scalar_mnemonics() -> set:
     """Scalar mnemonics the interpreter defines: the keys of its
-    semantics table (or, in a tree without one, its handler table)."""
+    semantics table."""
     import repro.sim.cpu as cpu_mod
 
-    table = getattr(cpu_mod, "_SEMANTICS", None) or cpu_mod._HANDLERS
-    return {m for m in table if not m.startswith("v")}
+    return {m for m in cpu_mod._SEMANTICS if not m.startswith("v")}
 
 
 class TestEveryScalarMnemonicOnEveryTier:
@@ -787,3 +789,312 @@ class TestEveryScalarMnemonicOnEveryTier:
                 assert fault.compressed is compressed, tier
             seen.add((cpu.instret, cpu.cycles, tuple(cpu.regs)))
         assert len(seen) == 1, seen
+
+
+# ---------------------------------------------------------------------------
+# Every vector mnemonic on every execution tier, against this file's model.
+#
+# Each pass of a vector case first reloads the instruction's vector
+# registers from per-register images in memory (``vle64.v`` at e64 with
+# VLMAX elements, so whole registers), then sets the case's SEW and vl,
+# then runs the instruction.  Every pass thus computes the same result,
+# and all 32 vector registers, including the tail lanes past vl, must
+# equal the model's after the last pass.
+# ---------------------------------------------------------------------------
+
+VLEN = 256
+VREG_BYTES = VLEN // 8
+VIMG = DATA + 0x1800                # register images, VREG_BYTES apart
+VMEM = BASE                         # vle/vse operand
+IMG_REGS = (18, 19, 20)             # s2, s3, s4 point at images
+AVL = 21                            # s5 holds the AVL
+X_SRC = A0                          # .vx / vmv.v.x scalar operand
+V_BASE = A1                         # vle/vse base
+V_RD = A2                           # vmv.x.s / vsetvli destination
+SEWS = (32, 64)
+
+#: Lane values per SEW: signed boundaries, all-ones, and shift counts of
+#: at least SEW (0x43 = 64 + 3, 0x25 = 32 + 5).
+VEDGE = {
+    64: (INT64_MIN, INT64_MAX, MASK, 0, 1, 0x43, 0x8000_0000,
+         0x1234_5678_9ABC_DEF0),
+    32: (1 << 31, (1 << 31) - 1, M32, 0, 1, 0x25, 0x43, 0x9ABC_DEF0,
+         0x8000, 31, 2, 0xFFFF_FFFE, 33, 64, 5, 0x7FFF_0000),
+}
+#: (vd, vs2, vs1) image rotations into VEDGE, and the scalar operand.
+VSETS = (((0, 1, 2), 0x43), ((3, 5, 7), MASK), ((6, 0, 4), INT64_MIN + 0x21))
+VIMMS = (-16, -1, 0, 7, 15)
+
+V_ELEMENTWISE = {
+    "vadd": lambda a, b, sew: a + b,
+    "vsub": lambda a, b, sew: a - b,
+    "vmul": lambda a, b, sew: a * b,
+    "vand": lambda a, b, sew: a & b,
+    "vor": lambda a, b, sew: a | b,
+    "vxor": lambda a, b, sew: a ^ b,
+    "vmin": lambda a, b, sew: a if sx(a, sew) <= sx(b, sew) else b,
+    "vmax": lambda a, b, sew: a if sx(a, sew) >= sx(b, sew) else b,
+    "vminu": lambda a, b, sew: min(a, b),
+    "vmaxu": lambda a, b, sew: max(a, b),
+    "vsll": lambda a, b, sew: a << (b % sew),
+    "vsrl": lambda a, b, sew: a >> (b % sew),
+    "vsra": lambda a, b, sew: sx(a, sew) >> (b % sew),
+}
+V_FORMS = {
+    "vv": ("vadd", "vsub", "vmul", "vand", "vor", "vxor", "vmin", "vmax",
+           "vminu", "vmaxu", "vsll", "vsrl", "vsra"),
+    "vx": ("vadd", "vsub", "vmul", "vsll", "vsrl", "vsra"),
+    "vi": ("vadd",),
+}
+V_MEMORY = {"vle32.v": 32, "vle64.v": 64, "vse32.v": 32, "vse64.v": 64}
+
+
+def _lanes(image: bytes, sew: int) -> list:
+    w = sew // 8
+    return [int.from_bytes(image[i:i + w], "little") for i in range(0, len(image), w)]
+
+
+def _image(lanes, sew: int) -> bytes:
+    return b"".join((v & ((1 << sew) - 1)).to_bytes(sew // 8, "little") for v in lanes)
+
+
+class VCase(NamedTuple):
+    """One vector instruction shape: its text, the vector registers each
+    pass reloads, and the model's effect on ``(x, v, mem, sew, vl)``."""
+
+    body: str
+    vregs: Sequence[int]
+    effect: Callable
+
+
+def _velem_cases(m):
+    name, form = m.split(".")
+    f = V_ELEMENTWISE.get(name)
+    if form == "vi":
+        variants = [(vd, vs2, None, imm) for imm in VIMMS
+                    for vd, vs2 in ((3, 1), (1, 1))]
+    elif form == "vx":
+        variants = [(vd, vs2, None, None) for vd, vs2 in ((3, 1), (1, 1))]
+    else:
+        variants = [(vd, vs2, vs1, None)
+                    for vd, vs2, vs1 in ((3, 1, 2), (1, 1, 2), (2, 1, 2), (3, 1, 1))]
+    for vd, vs2, vs1, imm in variants:
+        src = _x(X_SRC) if form == "vx" else str(imm) if form == "vi" else f"v{vs1}"
+
+        def effect(x, v, _mem, sew, vl, vd=vd, vs2=vs2, vs1=vs1, imm=imm):
+            a, d = _lanes(v[vs2], sew), _lanes(v[vd], sew)
+            b = (_lanes(v[vs1], sew) if vs1 is not None
+                 else [x[X_SRC] if form == "vx" else imm] * len(a))
+            for i in range(vl):
+                if m == "vmacc.vv":
+                    d[i] = d[i] + b[i] * a[i]
+                elif m == "vredsum.vs":
+                    d[0] = (d[0] if i else b[0]) + a[i]
+                else:
+                    d[i] = f(a[i], b[i], sew)
+            if m == "vredsum.vs" and not vl:
+                d[0] = b[0]
+            v[vd] = _image(d, sew)
+        yield VCase(f"    {m} v{vd}, v{vs2}, {src}",
+                    tuple(r for r in (vd, vs2, vs1) if r is not None), effect)
+
+
+def _vmove_cases(m):
+    if m == "vmv.x.s":
+        for rd in (V_RD, 0):
+            def effect(x, v, _mem, sew, _vl, rd=rd):
+                _set(x, rd, sx(_lanes(v[1], sew)[0], sew))
+            yield VCase(f"    vmv.x.s {_x(rd)}, v1", (1,), effect)
+        return
+    for src in ([_x(X_SRC)] if m == "vmv.v.x" else [str(i) for i in VIMMS]):
+        def effect(x, v, _mem, sew, vl, src=src):
+            value = x[X_SRC] if m == "vmv.v.x" else int(src)
+            d = _lanes(v[3], sew)
+            d[:vl] = [value] * vl
+            v[3] = _image(d, sew)
+        yield VCase(f"    {m} v3, {src}", (3,), effect)
+
+
+def _vmem_cases(m):
+    bits = V_MEMORY[m]
+    w = bits // 8
+    for off in (0, 4, 12):
+        def effect(x, v, mem, sew, vl, off=off):
+            base = x[V_BASE] - DATA
+            d = _lanes(v[3], sew)
+            for i in range(vl):
+                at = base + i * w
+                if m.startswith("vle"):
+                    d[i] = int.from_bytes(mem[at:at + w], "little")
+                else:
+                    mem[at:at + w] = (d[i] & ((1 << bits) - 1)).to_bytes(w, "little")
+            v[3] = _image(d, sew)
+        yield VCase(f"    {m} v3, ({_x(V_BASE)})", (3,), effect), off
+
+
+def _vector_cases(m):
+    if m in V_MEMORY:
+        return list(_vmem_cases(m))
+    if m.startswith("vmv."):
+        return [(case, 0) for case in _vmove_cases(m)]
+    return [(case, 0) for case in _velem_cases(m)]
+
+
+VECTOR_RETIRING = sorted(
+    {f"{op}.{form}" for form, ops in V_FORMS.items() for op in ops}
+    | {"vmacc.vv", "vredsum.vs", "vmv.v.x", "vmv.v.i", "vmv.x.s"}
+    | set(V_MEMORY))
+
+
+def _table_vector_mnemonics() -> set:
+    import repro.sim.cpu as cpu_mod
+
+    return set(cpu_mod._VECTOR_HANDLERS)
+
+
+class TestEveryVectorMnemonicOnEveryTier:
+    def test_model_covers_the_vector_table(self):
+        assert set(VECTOR_RETIRING) | {"vsetvli"} == _table_vector_mnemonics()
+
+    @pytest.mark.parametrize("mnemonic", VECTOR_RETIRING)
+    def test_matches_model(self, mnemonic):
+        for sew in SEWS:
+            for case, off in _vector_cases(mnemonic):
+                reload = sorted(set(case.vregs))
+                program = assemble("\n".join([
+                    "top:", "    vsetvli x0, x0, e64",
+                    *(f"    vle64.v v{r}, ({_x(IMG_REGS[i])})"
+                      for i, r in enumerate(reload)),
+                    f"    vsetvli x0, {_x(AVL)}, e{sew}",
+                    "op:", case.body,
+                    f"    addi {_x(COUNTER)}, {_x(COUNTER)}, -1",
+                    f"    bne {_x(COUNTER)}, x0, top",
+                    "end:", "    ebreak", ""]), base=TEXT)
+                lab = program.labels
+                cpus = {tier: _tier_cpu(program.code, tier) for tier in TIERS}
+                vlmax = VLEN // sew
+                for avl in (vlmax, 3, 0):
+                    for starts, xval in VSETS:
+                        self._check(case, reload, off, sew, avl, starts, xval,
+                                    cpus, lab)
+
+    @staticmethod
+    def _check(case, reload, off, sew, avl, starts, xval, cpus, lab):
+        edge = VEDGE[sew]
+        n = VLEN // sew
+        regs = list(INIT_REGS)
+        regs[COUNTER] = PASSES
+        regs[AVL] = avl
+        regs[X_SRC] = xval
+        regs[V_BASE] = VMEM + off
+        data = bytearray(DATA_BYTES)
+        v = [bytes(VREG_BYTES)] * 32
+        for i, r in enumerate(reload):
+            regs[IMG_REGS[i]] = VIMG + VREG_BYTES * i
+            image = _image([edge[(starts[i] + k) % len(edge)] for k in range(n)], sew)
+            at = VIMG + VREG_BYTES * i - DATA
+            data[at:at + VREG_BYTES] = image
+            v[r] = image
+        want = list(regs)
+        mem = bytearray(data)
+        vl = min(avl, n)
+        case.effect(want, v, mem, sew, vl)
+        want[COUNTER] = 0
+        seen = {}
+        for tier, cpu in cpus.items():
+            fault = _run_tier(_restart(cpu, regs, data), tier)
+            where = f"{case.body.strip()} e{sew} avl={avl} {starts} on the {tier} tier"
+            assert isinstance(fault, BreakpointTrap), f"{where}: {fault!r}"
+            assert cpu.pc == lab["end"], where
+            assert cpu.regs == want, where
+            assert [bytes(r) for r in cpu.vector.regs] == v, where
+            assert (cpu.vector.sew, cpu.vector.vl) == (sew, vl), where
+            assert bytes(cpu.space.segment_at(DATA).data) == mem, where
+            if tier == "trace":
+                assert cpu.counters["trace_instret"] > 0, where
+            seen[tier] = (cpu.instret, cpu.cycles)
+        assert len(set(seen.values())) == 1, (case.body, sew, avl, seen)
+
+    @pytest.mark.parametrize("sew", SEWS)
+    def test_vsetvli_matches_model(self, sew):
+        vlmax = VLEN // sew
+        for rd, rs1 in ((V_RD, AVL), (0, AVL), (V_RD, 0), (AVL, AVL)):
+            program = assemble("\n".join([
+                "top:", "op:", f"    vsetvli {_x(rd)}, {_x(rs1)}, e{sew}",
+                f"    addi {_x(COUNTER)}, {_x(COUNTER)}, -1",
+                f"    bne {_x(COUNTER)}, x0, top",
+                "end:", "    ebreak", ""]), base=TEXT)
+            cpus = {tier: _tier_cpu(program.code, tier) for tier in TIERS}
+            for avl in (0, 1, 3, vlmax, vlmax + 1, 1000, MASK):
+                regs = list(INIT_REGS)
+                regs[COUNTER] = PASSES
+                regs[AVL] = avl
+                vl = vlmax if rs1 == 0 else min(avl, vlmax)
+                want = list(regs)
+                _set(want, rd, vl)
+                want[COUNTER] = 0
+                seen = {}
+                for tier, cpu in cpus.items():
+                    fault = _run_tier(_restart(cpu, regs), tier)
+                    where = f"vsetvli {rd}, {rs1}, e{sew} avl={avl} on {tier}"
+                    assert isinstance(fault, BreakpointTrap), f"{where}: {fault!r}"
+                    assert cpu.regs == want, where
+                    assert (cpu.vector.sew, cpu.vector.vl) == (sew, vl), where
+                    if tier == "trace":
+                        assert cpu.counters["trace_instret"] > 0, where
+                    seen[tier] = (cpu.instret, cpu.cycles)
+                assert len(set(seen.values())) == 1, (rd, rs1, avl, seen)
+
+    @pytest.mark.parametrize("mnemonic", ["vle64.v", "vse64.v"])
+    def test_access_faulting_mid_vector(self, mnemonic):
+        """The base advances two elements a pass towards the end of .data;
+        the last pass faults at element 2, inside a compiled trace on the
+        trace tier.  Every tier leaves the same partial vd or memory, the
+        fault on the access, and the same instret and cycles."""
+        end = DATA + DATA_SIZE
+        passes = 5
+        program = assemble("\n".join([
+            "top:", "    vsetvli x0, x0, e64",
+            "op:", f"    {mnemonic} v1, ({_x(V_BASE)})",
+            f"    addi {_x(V_BASE)}, {_x(V_BASE)}, 16",
+            f"    addi {_x(COUNTER)}, {_x(COUNTER)}, -1",
+            f"    bne {_x(COUNTER)}, x0, top",
+            "    ebreak", ""]), base=TEXT)
+        image = _image(VEDGE[64][:4], 64)
+        regs = list(INIT_REGS)
+        regs[COUNTER] = passes
+        regs[V_BASE] = end - 16 * passes
+        # Model: passes before the last retire all five ops; the last
+        # retires vsetvli, then its access faults at element 2.
+        vd, mem = bytearray(VREG_BYTES), bytearray(DATA_BYTES)
+        base = regs[V_BASE] - DATA
+        for _ in range(passes):
+            for i in range(4):
+                at = base + 8 * i
+                if at + 8 > DATA_SIZE:
+                    break
+                if mnemonic == "vle64.v":
+                    vd[8 * i:8 * i + 8] = mem[at:at + 8]
+                else:
+                    mem[at:at + 8] = image[8 * i:8 * i + 8]
+            base += 16
+        if mnemonic == "vse64.v":
+            vd = bytearray(image)
+        want_regs = list(regs)
+        want_regs[V_BASE] = end - 16
+        want_regs[COUNTER] = 1
+        seen = {}
+        for tier in TIERS:
+            cpu = _restart(_tier_cpu(program.code, tier), regs)
+            cpu.vector.regs[1][:] = bytes(VREG_BYTES) if mnemonic == "vle64.v" else image
+            fault = _run_tier(cpu, tier)
+            assert isinstance(fault, SegmentationFault), (tier, fault)
+            assert fault.pc == cpu.pc == program.labels["op"], tier
+            assert cpu.regs == want_regs, tier
+            assert cpu.vector.regs[1] == vd, tier
+            assert bytes(cpu.space.segment_at(DATA).data) == mem, tier
+            assert cpu.instret == 5 * (passes - 1) + 1, tier
+            if tier == "trace":
+                assert cpu.counters["trace_instret"] > 0, tier
+            seen[tier] = cpu.cycles
+        assert len(set(seen.values())) == 1, seen
