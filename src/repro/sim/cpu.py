@@ -282,16 +282,17 @@ class Cpu:
         except IllegalEncodingError as exc:
             raise IllegalInstructionFault(pc, exc.kind, str(exc)) from exc
         bind = _BINDERS.get(instr.mnemonic)
-        if bind is None and instr.mnemonic not in _VECTOR_HANDLERS:
+        if bind is None:
             raise IllegalInstructionFault(pc, "unknown", f"no semantics for {instr.mnemonic}")
         if instr.extension not in self.profile.extensions:
             handler = _unsupported
-        elif bind is None:
-            handler = _VECTOR_HANDLERS[instr.mnemonic]
         else:
             # Operands bound once per decoded pc; absent ones read as x0/0.
+            # Binding raises IllegalInstructionFault for operands the
+            # entry has no semantics for (a vsetvli SEW the unit lacks).
             handler = bind(instr.rd or 0, instr.rs1 or 0, instr.rs2 or 0,
-                           instr.imm or 0, pc, pc + instr.length)
+                           instr.imm or 0, pc, pc + instr.length,
+                           instr.vd or 0, instr.vs1 or 0, instr.vs2 or 0)
         tag = self.tag_addrs.get(pc) if self.tag_addrs else None
         self._dcache[pc] = (instr, handler, tag, seg, seg.version)
         return instr, handler, tag
@@ -694,62 +695,52 @@ def _trace_store_slow(cpu: Cpu, cell: list, addr: int, data: bytes) -> None:
 #: Sign bit for the xor trick: (a ^ SB) < (b ^ SB) unsigned ⇔ a <s b.
 _SB = 0x8000_0000_0000_0000
 
-#: Vector unit-stride memory ops: mnemonic -> element bits.
-_VLOAD_SRC = {"vle32.v": 32, "vle64.v": 64}
-_VSTORE_SRC = {"vse32.v": 32, "vse64.v": 64}
-
-#: Elementwise vector-vector ALU ops inlined as bulk bytearray loops.
-_VV_SRC = {
-    "vadd.vv": "+", "vsub.vv": "-", "vmul.vv": "*",
-    "vand.vv": "&", "vor.vv": "|", "vxor.vv": "^",
-}
-
-#: Elementwise vector-scalar ALU ops (operand ``x_`` from the x-file).
-_VX_SRC = {"vadd.vx": "+", "vsub.vx": "-", "vmul.vx": "*"}
-
 
 def _trace_vmem_prime(cpu: Cpu, cell: list, addr: int, write: bool) -> None:
-    """Prime a vector memory op's segment cell after a slow-path access.
-
-    Called after the generic handler completed (so permissions were
-    already checked element by element); store cells only accept plain
-    data segments so W|X version bumps never get bypassed."""
+    """Prime a vector memory op's segment cell after its element-by-element
+    body completed.  The cell only takes a segment the bulk copy may use
+    unchecked: readable for a load; writable and not executable for a
+    store, so W|X version bumps are never bypassed.  The permissions are
+    checked here because a body with vl = 0 accessed nothing."""
     seg = cpu.space.segment_at(addr)
     if seg is None:
         return
-    if write and Perm.X in seg.perm:
-        return
-    cell[0] = seg.base
-    cell[1] = seg.data
+    if write:
+        usable = Perm.W in seg.perm and Perm.X not in seg.perm
+    else:
+        usable = Perm.R in seg.perm
+    if usable:
+        cell[0] = seg.base
+        cell[1] = seg.data
 
 
 def _compile_trace(ops: list) -> tuple[Callable, tuple]:
     """Compile a trace's flat op list into one exec'd pass function.
 
-    Instead of calling each op's bound closure, every scalar op is
-    inlined from its ``_SEMANTICS`` entry with literal operands, so
-    constant folding leaves direct register-file expressions
-    (``r[5] = (r[6] + 8) & M``); loads/stores get a per-op segment
-    inline cache (bounds-checked slice
+    Instead of calling each op's bound closure, every op is inlined from
+    its ``_SEMANTICS`` entry with literal operands, so constant folding
+    leaves direct register-file expressions (``r[5] = (r[6] + 8) & M``);
+    loads/stores get a per-op segment inline cache (bounds-checked slice
     access against the resolved segment's backing bytearray, miss/fault
     through the full permission-checked path), conditional branches
     compile to native ``if`` guards on their recorded direction, and
     direct jumps vanish entirely — the pc is only materialized at trace
-    exits.  Cycle costs fold into compile-time prefix sums, sound
-    because a trace's branch directions are statically recorded.
+    exits.  Vector bodies are inlined as they are; unit-stride vector
+    loads/stores copy the whole vector as one slice through the same kind
+    of inline cache when SEW equals their element width, and otherwise
+    run the element-by-element body, whose permission-checked accesses
+    define partial progress on a fault.  Cycle costs fold into
+    compile-time prefix sums, sound because a trace's branch directions
+    are statically recorded.
 
     A pass returns ``(retired, cycles, diverged)``.  Guard side exits
     set ``cpu.pc`` to wherever execution really went before returning.
     Faults escape with the faulting op's index in ``cpu._trace_ex``; the
     caller combines it with the returned prefix-cycle table to settle
-    partial state exactly.  Vector ops outside the inlined subset (and
-    traps, which never complete a recording) call their handler — same
-    semantics, one call deeper.
+    partial state exactly.
     """
-    from repro.isa.encoding import decode_vtype
-
     n = len(ops)
-    head = ["def _make(OPS, LD, ST, VM):"]
+    head = ["def _make(LD, ST, VM):"]
     body = ["    def _pass(cpu, length=len, FB=int.from_bytes):",
             "        r = cpu.regs",
             "        ex = 0",
@@ -759,179 +750,84 @@ def _compile_trace(ops: list) -> tuple[Callable, tuple]:
     E = "            "
     cyc = 0
     prefix = []
-    for k, (pc, nxt, expected, instr, handler, cost, cost_taken) in enumerate(ops):
+    for k, (pc, nxt, expected, instr, _handler, cost, cost_taken) in enumerate(ops):
         prefix.append(cyc)
-        m = instr.mnemonic
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        inline = _INLINE.get(m)
-        if inline is not None and inline[0] != "trap":
-            kind, expr, value, width = inline
-            lit = {"rd": rd or 0, "rs1": rs1 or 0, "rs2": rs2 or 0,
-                   "imm": imm or 0, "addr": pc, "nxt": nxt}
-            if kind == "alu":
+        kind, expr, value, width = _INLINE[instr.mnemonic]
+        rd = instr.rd or 0
+        lit = {"rd": rd, "rs1": instr.rs1 or 0, "rs2": instr.rs2 or 0,
+               "imm": instr.imm or 0, "addr": pc, "nxt": nxt,
+               "vd": instr.vd or 0, "vs1": instr.vs1 or 0,
+               "vs2": instr.vs2 or 0}
+        if kind == "alu":
+            if rd:
+                A(f"{E}r[{rd}] = {_lit(expr, lit)}")
+        elif kind in ("load", "store"):
+            A(f"{E}a = {_lit(expr, lit)}")
+            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
+            A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
+            if kind == "load":
+                A(f"{E}    v = FB(d[o:o + {width}], 'little')")
+                A(f"{E}else:")
+                A(f"{E}    ex = {k}")
+                A(f"{E}    v = LD(cpu, C{k}, a, {width})")
                 if rd:
-                    A(f"{E}r[{rd}] = {_lit(expr, lit)}")
-            elif kind in ("load", "store"):
-                A(f"{E}a = {_lit(expr, lit)}")
-                A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-                A(f"{E}if d is not None and 0 <= o <= length(d) - {width}:")
-                if kind == "load":
-                    A(f"{E}    v = FB(d[o:o + {width}], 'little')")
-                    A(f"{E}else:")
-                    A(f"{E}    ex = {k}")
-                    A(f"{E}    v = LD(cpu, C{k}, a, {width})")
-                    if rd:
-                        A(f"{E}r[{rd}] = {value}")
-                else:
-                    data = f"({_lit(value, lit)}).to_bytes({width}, 'little')"
-                    A(f"{E}    d[o:o + {width}] = {data}")
-                    A(f"{E}else:")
-                    A(f"{E}    ex = {k}")
-                    A(f"{E}    ST(cpu, C{k}, a, {data})")
-                H(f"    C{k} = [0, None]")
-            elif kind == "branch":
-                cond = _lit(expr, lit)
-                if expected != nxt:  # recorded taken: not-taken side-exits
-                    A(f"{E}if not ({cond}):")
-                    A(f"{E}    cpu.pc = {nxt}")
-                    A(f"{E}    return ({k + 1}, {cyc + cost}, True)")
-                    cyc += cost_taken
-                else:  # recorded not-taken: taken side-exits
-                    A(f"{E}if {cond}:")
-                    A(f"{E}    cpu.pc = {_PCREL_INLINE.format_map(lit)}")
-                    A(f"{E}    return ({k + 1}, {cyc + cost_taken}, True)")
-                    cyc += cost
-                continue
-            elif kind == "jump":
-                # A direct jump is followed statically: only the link
-                # survives.  An indirect one guards its computed target.
-                indirect = m in _INDIRECT_JUMPS
-                if indirect:
-                    A(f"{E}t = {_lit(expr, lit)}")
-                if rd:
-                    A(f"{E}r[{rd}] = {nxt}")
-                if indirect:
-                    cyc += cost
-                    A(f"{E}if t != {expected}:")
-                    A(f"{E}    cpu.pc = t")
-                    A(f"{E}    return ({k + 1}, {cyc}, True)")
-                    continue
-            cyc += cost
-            continue
-        if m == "vsetvli":
-            try:
-                sew = decode_vtype(imm)
-            except Exception:
-                sew = None
-            if sew in (32, 64):
-                A(f"{E}vu = cpu.vector")
-                A(f"{E}vu.sew = {sew}")
-                A(f"{E}vl_ = vu.vlen // {sew}")
-                if rs1:
-                    A(f"{E}a = r[{rs1}]")
-                    A(f"{E}vl_ = a if a < vl_ else vl_")
-                A(f"{E}vu.vl = vl_")
-                if rd:
-                    A(f"{E}r[{rd}] = vl_")
+                    A(f"{E}r[{rd}] = {value}")
+            else:
+                data = f"({_lit(value, lit)}).to_bytes({width}, 'little')"
+                A(f"{E}    d[o:o + {width}] = {data}")
+                A(f"{E}else:")
+                A(f"{E}    ex = {k}")
+                A(f"{E}    ST(cpu, C{k}, a, {data})")
+            H(f"    C{k} = [0, None]")
+        elif kind == "branch":
+            cond = _lit(expr, lit)
+            if expected != nxt:  # recorded taken: not-taken side-exits
+                A(f"{E}if not ({cond}):")
+                A(f"{E}    cpu.pc = {nxt}")
+                A(f"{E}    return ({k + 1}, {cyc + cost}, True)")
+                cyc += cost_taken
+            else:  # recorded not-taken: taken side-exits
+                A(f"{E}if {cond}:")
+                A(f"{E}    cpu.pc = {_PCREL_INLINE.format_map(lit)}")
+                A(f"{E}    return ({k + 1}, {cyc + cost_taken}, True)")
                 cyc += cost
+            continue
+        elif kind == "jump":
+            # A direct jump is followed statically: only the link
+            # survives.  An indirect one guards its computed target.
+            indirect = instr.mnemonic in _INDIRECT_JUMPS
+            if indirect:
+                A(f"{E}t = {_lit(expr, lit)}")
+            if rd:
+                A(f"{E}r[{rd}] = {nxt}")
+            if indirect:
+                cyc += cost
+                A(f"{E}if t != {expected}:")
+                A(f"{E}    cpu.pc = t")
+                A(f"{E}    return ({k + 1}, {cyc}, True)")
                 continue
-        if m in _VLOAD_SRC:
-            bits = _VLOAD_SRC[m]
-            step = bits // 8
+        elif kind in ("vload", "vstore"):
+            vreg = f"vu.regs[{lit['vd']}][0:nb]"
             A(f"{E}vu = cpu.vector")
-            A(f"{E}a = r[{rs1}]")
-            A(f"{E}nb = vu.vl * {step}")
+            A(f"{E}a = {_lit('r[{rs1}]', lit)}")
+            A(f"{E}nb = vu.vl * {width}")
             A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if vu.sew == {bits} and d is not None "
+            A(f"{E}if vu.sew == {8 * width} and d is not None "
               f"and 0 <= o <= length(d) - nb:")
-            A(f"{E}    vu.regs[{instr.vd}][0:nb] = d[o:o + nb]")
+            if kind == "vload":
+                A(f"{E}    {vreg} = d[o:o + nb]")
+            else:
+                A(f"{E}    d[o:o + nb] = {vreg}")
             A(f"{E}else:")
             A(f"{E}    ex = {k}")
-            A(f"{E}    H{k}(cpu, I{k})")
-            A(f"{E}    VM(cpu, C{k}, a, False)")
+            for line in _lit(expr, lit).splitlines():
+                A(f"{E}    {line}")
+            A(f"{E}    VM(cpu, C{k}, a, {kind == 'vstore'})")
             H(f"    C{k} = [0, None]")
-            H(f"    H{k} = OPS[{k}][4]; I{k} = OPS[{k}][3]")
-            cyc += cost
-            continue
-        if m in _VSTORE_SRC:
-            bits = _VSTORE_SRC[m]
-            step = bits // 8
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}a = r[{rs1}]")
-            A(f"{E}nb = vu.vl * {step}")
-            A(f"{E}o = a - C{k}[0]; d = C{k}[1]")
-            A(f"{E}if vu.sew == {bits} and d is not None "
-              f"and 0 <= o <= length(d) - nb:")
-            A(f"{E}    d[o:o + nb] = vu.regs[{instr.vd}][0:nb]")
-            A(f"{E}else:")
-            A(f"{E}    ex = {k}")
-            A(f"{E}    H{k}(cpu, I{k})")
-            A(f"{E}    VM(cpu, C{k}, a, True)")
-            H(f"    C{k} = [0, None]")
-            H(f"    H{k} = OPS[{k}][4]; I{k} = OPS[{k}][3]")
-            cyc += cost
-            continue
-        if m in _VV_SRC:
-            op = _VV_SRC[m]
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]; s1 = vu.regs[{instr.vs1}]; "
-              f"dd = vu.regs[{instr.vd}]")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    j_ = i_ + w")
-            A(f"{E}    dd[i_:j_] = ((FB(s2[i_:j_], 'little') {op} "
-              f"FB(s1[i_:j_], 'little')) & mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        if m in _VX_SRC:
-            op = _VX_SRC[m]
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}x_ = r[{rs1}]")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]; dd = vu.regs[{instr.vd}]")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    j_ = i_ + w")
-            A(f"{E}    dd[i_:j_] = ((FB(s2[i_:j_], 'little') {op} x_) "
-              f"& mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        if m == "vmacc.vv":
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]; s1 = vu.regs[{instr.vs1}]; "
-              f"dd = vu.regs[{instr.vd}]")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    j_ = i_ + w")
-            A(f"{E}    dd[i_:j_] = ((FB(dd[i_:j_], 'little') + "
-              f"FB(s1[i_:j_], 'little') * FB(s2[i_:j_], 'little')) "
-              f"& mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        if m in ("vmv.v.x", "vmv.v.i"):
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            src = f"r[{rs1}]" if m == "vmv.v.x" else f"{imm}"
-            A(f"{E}bs = (({src}) & mk).to_bytes(w, 'little')")
-            A(f"{E}vu.regs[{instr.vd}][0:vu.vl * w] = bs * vu.vl")
-            cyc += cost
-            continue
-        if m == "vredsum.vs":
-            A(f"{E}vu = cpu.vector")
-            A(f"{E}w = vu.sew >> 3; mk = (1 << vu.sew) - 1")
-            A(f"{E}s2 = vu.regs[{instr.vs2}]")
-            A(f"{E}t = FB(vu.regs[{instr.vs1}][0:w], 'little')")
-            A(f"{E}for i_ in range(0, vu.vl * w, w):")
-            A(f"{E}    t += FB(s2[i_:i_ + w], 'little')")
-            A(f"{E}vu.regs[{instr.vd}][0:w] = (t & mk).to_bytes(w, 'little')")
-            cyc += cost
-            continue
-        # Fallback: anything exotic calls its superblock handler (which
-        # never touches pc for non-control ops, so the lazy-pc scheme
-        # holds).  Control mnemonics are all inlined above; ecall/ebreak
-        # abort recording and never reach here.
-        H(f"    H{k} = OPS[{k}][4]; I{k} = OPS[{k}][3]")
-        A(f"{E}ex = {k}")
-        A(f"{E}H{k}(cpu, I{k})")
+        elif expr:  # a statement body: vector ops and traps
+            A(f"{E}ex = {k}")
+            for line in _lit(expr if rd else value, lit).splitlines():
+                A(f"{E}{line}")
         cyc += cost
     if body[-1] == "        try:":
         # Every op was a pure-cost no-op (e.g. an all-nop trace): the
@@ -952,7 +848,7 @@ def _compile_trace(ops: list) -> tuple[Callable, tuple]:
         _TRACE_CODE_MEMO[src] = code
     ns = dict(_TEMPLATE_GLOBALS)
     exec(code, ns)  # noqa: S102 - trusted, self-generated
-    return (ns["_make"](ops, _trace_load_slow, _trace_store_slow,
+    return (ns["_make"](_trace_load_slow, _trace_store_slow,
                         _trace_vmem_prime),
             tuple(prefix))
 
@@ -969,12 +865,13 @@ _TRACE_CODE_MEMO: dict[str, object] = {}
 # ---------------------------------------------------------------------------
 # Instruction semantics.
 #
-# Every scalar mnemonic has exactly one entry in ``_SEMANTICS``: a template
-# over the symbolic operands ``rd``, ``rs1``, ``rs2``, ``imm``, ``addr`` (the
-# instruction's own pc) and ``nxt`` (its fall-through pc), with ``r``
-# standing for the register file and ``M``/``M32``/``MJ``/``SB``/``S31``
-# for the constants in ``_TEMPLATE_CONSTS``.  Results are masked to 64
-# bits, so every register value stays in range and x0 (never written)
+# Every mnemonic, scalar and vector, has exactly one entry in
+# ``_SEMANTICS``: a template over the symbolic operands ``rd``, ``rs1``,
+# ``rs2``, ``imm``, ``addr`` (the instruction's own pc), ``nxt`` (its
+# fall-through pc) and the vector registers ``vd``, ``vs1``, ``vs2``, with
+# ``r`` standing for the register file and ``M``/``M32``/``MJ``/``SB``/
+# ``S31`` for the constants in ``_TEMPLATE_CONSTS``.  Results are masked to
+# 64 bits, so every register value stays in range and x0 (never written)
 # reads as 0; the emitters, not the templates, drop writes to x0.
 #
 # Two emitters are generated from the table:
@@ -984,7 +881,8 @@ _TRACE_CODE_MEMO: dict[str, object] = {}
 #   pc to bind the operands; ``step()`` and the block tier both call the
 #   bound closure ``op(cpu, instr)``, which returns True for a taken branch.
 #   Groups written in braces, ``{...}``, read operands only (a branch
-#   target, a ``lui`` constant) and are evaluated once, at bind time.
+#   target, a ``lui`` constant, a ``vsetvli`` SEW) and are evaluated once,
+#   at bind time.
 # * ``_INLINE`` — format strings the trace compiler fills with literal
 #   operands, so constant folding (braces become parentheses) leaves only
 #   the register and memory work.
@@ -992,8 +890,10 @@ _TRACE_CODE_MEMO: dict[str, object] = {}
 # Loads and stores take address, width and sign extension from the entry;
 # each tier keeps its own access path: the permission-checked
 # ``space.read``/``space.write`` for closures, a segment inline cache with
-# that same path as its slow path for traces.  Vector instructions keep
-# hand-written handlers (``_VECTOR_HANDLERS``), which traces inline or call.
+# that same path as its slow path for traces.  Vector entries are statement
+# bodies over the vector unit ``vu``; a unit-stride vector load or store's
+# body is its element-by-element access, which traces run whenever their
+# bulk slice copy does not apply.
 # ---------------------------------------------------------------------------
 
 def _unsupported(cpu: Cpu, i: Instruction):
@@ -1049,13 +949,16 @@ def _remw(a: int, b: int) -> int:
 
 
 class _Sem(NamedTuple):
-    """One scalar mnemonic's semantics.
+    """One mnemonic's semantics.
 
     ``kind`` is ``alu`` (``expr`` is the value written to rd), ``load``/
     ``store`` (``expr`` is the effective address), ``branch`` (``expr`` is
     the taken condition; the target is ``_PCREL``), ``jump`` (``expr`` is
     the target; rd receives ``nxt``), ``trap`` (``expr`` is a raise
-    statement) or ``nop``.
+    statement), ``nop``, ``vector`` (``expr`` is a statement body; a line
+    ``r[rd] = ...`` is its rd write) or ``vload``/``vstore`` (``expr`` is
+    the element-by-element body of a unit-stride access of ``width``-byte
+    elements).
     """
 
     kind: str
@@ -1101,6 +1004,71 @@ def _load(width: int, signed: bool = True) -> _Sem:
 
 def _store(width: int) -> _Sem:
     return _Sem("store", _ADDR, width)
+
+
+def _vector(*lines: str) -> _Sem:
+    return _Sem("vector", "\n".join(lines))
+
+
+#: Vector bodies open with the unit and the current SEW: ``w`` bytes per
+#: element, ``mk`` its mask.  Element ``i`` of a register is the byte
+#: slice ``[i:j]`` in loops over byte offsets.
+_VU = "vu = cpu.vector"
+_VSEW = "sew = vu.sew; w = sew >> 3; mk = (1 << sew) - 1"
+_VELEM = {"a": "FB(s2[i:j], 'little')", "b": "FB(s1[i:j], 'little')",
+          "d": "FB(dv[i:j], 'little')"}
+_VELEM_RE = re.compile(r"\b([abd])\b")
+
+
+def _velem(expr: str, b: str = "") -> _Sem:
+    """Elementwise ``vd[i] = expr`` wrapped to SEW, over ``a`` (element
+    of vs2), ``d`` (element of vd) and ``b``: element of vs1, or the
+    scalar *b* (``r[rs1]`` for .vx, ``imm`` for .vi).  ``h`` is the
+    SEW's sign bit, for signed compares and shifts."""
+    body = [_VU, _VSEW]
+    if re.search(r"\bh\b", expr):
+        body.append("h = 1 << (sew - 1)")
+    body.append("dv = vu.regs[vd]; s2 = vu.regs[vs2]"
+                + ("" if b else "; s1 = vu.regs[vs1]"))
+    if b:
+        body.append(f"x = {b}")
+    reads = dict(_VELEM, b="x") if b else _VELEM
+    elem = _VELEM_RE.sub(lambda mt: reads[mt[1]], expr)
+    return _vector(*body, "for i in range(0, vu.vl * w, w):",
+                   "    j = i + w",
+                   f"    dv[i:j] = (({elem}) & mk).to_bytes(w, 'little')")
+
+
+def _vsplat(value: str) -> _Sem:
+    """``vmv.v.*``: every active element of vd becomes *value*."""
+    return _vector(_VU, _VSEW, "vu.regs[vd][0:vu.vl * w] = "
+                   f"(({value}) & mk).to_bytes(w, 'little') * vu.vl")
+
+
+def _vmem(kind: str, width: int) -> _Sem:
+    """Unit-stride ``vle``/``vse`` of *width*-byte elements at ``r[rs1]``,
+    one permission-checked access per element: elements before a faulting
+    one have completed.  Register elements are SEW wide, so an element
+    width other than SEW zero-extends (load) or truncates (store)."""
+    if kind == "vload":
+        step = (f"dv[i * w:i * w + w] = (FB(cpu.space.read(p + i * {width}, "
+                f"{width}), 'little') & mk).to_bytes(w, 'little')")
+    else:
+        step = (f"cpu.space.write(p + i * {width}, (FB(dv[i * w:i * w + w], "
+                f"'little') & {(1 << 8 * width) - 1}).to_bytes({width}, 'little'))")
+    return _Sem(kind, "\n".join([_VU, _VSEW, "dv = vu.regs[vd]; p = r[rs1]",
+                                  "for i in range(vu.vl):", "    " + step]), width)
+
+
+def _illegal_vtype(addr: int, vtype: int):
+    raise IllegalInstructionFault(addr, "unknown", f"unsupported vtype {vtype:#x}")
+
+
+#: SEW of a ``vsetvli`` vtype, a bind-time group.  The vector unit has
+#: e32 and e64, vsew (vtype bits 5:3) 0b010 and 0b011: vtype bits 5:4 are
+#: 0b01.  Any other vsew is an illegal instruction when the pc is bound;
+#: in a trace the group folds to its constant.
+_VTYPE_SEW = "{ILLEGAL_VTYPE(addr, imm) if (imm & 0x30) ^ 0x10 else 8 << ((imm >> 3) & 7)}"
 
 
 _SEMANTICS: dict[str, _Sem] = {
@@ -1169,6 +1137,38 @@ _SEMANTICS: dict[str, _Sem] = {
     "c.mv": _alu("r[rs2]"),
     "c.beqz": _branch("r[rs1] == 0"),
     "c.bnez": _branch("r[rs1] != 0"),
+    # AVL is ~0 (so vl = VLMAX) when rs1 is x0.
+    "vsetvli": _vector(_VU, f"sew = {_VTYPE_SEW}", "vl = vu.vlen // sew",
+                       "a = r[rs1] if rs1 else M",
+                       "vu.sew = sew; vu.vl = a if a < vl else vl",
+                       "r[rd] = vu.vl"),
+    "vle32.v": _vmem("vload", 4), "vle64.v": _vmem("vload", 8),
+    "vse32.v": _vmem("vstore", 4), "vse64.v": _vmem("vstore", 8),
+    "vadd.vv": _velem("a + b"), "vadd.vx": _velem("a + b", "r[rs1]"),
+    "vadd.vi": _velem("a + b", "imm"),
+    "vsub.vv": _velem("a - b"), "vsub.vx": _velem("a - b", "r[rs1]"),
+    "vmul.vv": _velem("a * b"), "vmul.vx": _velem("a * b", "r[rs1]"),
+    "vand.vv": _velem("a & b"), "vor.vv": _velem("a | b"),
+    "vxor.vv": _velem("a ^ b"),
+    "vmin.vv": _velem("a if (a ^ h) <= (b ^ h) else b"),
+    "vmax.vv": _velem("a if (a ^ h) >= (b ^ h) else b"),
+    "vminu.vv": _velem("a if a <= b else b"),
+    "vmaxu.vv": _velem("a if a >= b else b"),
+    "vsll.vv": _velem("a << (b & (sew - 1))"),
+    "vsll.vx": _velem("a << (b & (sew - 1))", "r[rs1]"),
+    "vsrl.vv": _velem("a >> (b & (sew - 1))"),
+    "vsrl.vx": _velem("a >> (b & (sew - 1))", "r[rs1]"),
+    "vsra.vv": _velem("((a ^ h) - h) >> (b & (sew - 1))"),
+    "vsra.vx": _velem("((a ^ h) - h) >> (b & (sew - 1))", "r[rs1]"),
+    "vmacc.vv": _velem("d + b * a"),
+    "vmv.v.x": _vsplat("r[rs1]"),
+    "vmv.v.i": _vsplat("imm"),
+    "vmv.x.s": _alu("FB(cpu.vector.regs[vs2][0:cpu.vector.sew >> 3], 'little', "
+                    "signed=True) & M"),
+    "vredsum.vs": _vector(
+        _VU, _VSEW, "s2 = vu.regs[vs2]; t = FB(vu.regs[vs1][0:w], 'little')",
+        "for i in range(0, vu.vl * w, w):", "    t += FB(s2[i:i + w], 'little')",
+        "vu.regs[vd][0:w] = (t & mk).to_bytes(w, 'little')"),
 }
 
 #: Compressed forms that share a base entry: the decoder fills their
@@ -1185,7 +1185,7 @@ for _c, _base in {
 }.items():
     _SEMANTICS[_c] = _SEMANTICS[_base]
 
-_OPERANDS = ("rd", "rs1", "rs2", "imm", "addr", "nxt")
+_OPERANDS = ("rd", "rs1", "rs2", "imm", "addr", "nxt", "vd", "vs1", "vs2")
 _OPERAND_RE = re.compile(r"\b(" + "|".join(_OPERANDS) + r")\b")
 _CONST_RE = re.compile(r"\b(" + "|".join(_TEMPLATE_CONSTS) + r")\b")
 #: Names a closure binds as defaults: operands and bind-time groups.
@@ -1230,7 +1230,8 @@ def _closure_body(sem: _Sem, rd_live: bool) -> list[str]:
     if kind == "jump":
         return [f"t = {expr}", *(["r[rd] = nxt"] if rd_live else []),
                 "cpu.pc = t"]
-    return [expr] if expr else []
+    lines = expr.splitlines()
+    return lines if rd_live else [ln for ln in lines if not ln.startswith("r[rd] =")]
 
 
 def _op_def(body: list[str], pad: str) -> list[str]:
@@ -1284,11 +1285,18 @@ def _inline_format(template: str) -> str:
 
 def _inline_template(sem: _Sem) -> tuple[str, str, str, int]:
     """``(kind, expr, value, width)`` with operands as format fields;
-    ``value`` is the loaded value (over ``v``) or the stored one."""
+    ``value`` is the loaded value (over ``v``) or the stored one.  For a
+    statement body, ``expr`` is the body and ``value`` the body without
+    its rd write, used when rd is x0."""
     kind, expr, width, signed = sem
-    value = (_load_value(width, signed) if kind == "load"
-             else _store_value(width) if kind == "store" else "")
-    return kind, _inline_format(expr), _inline_format(value), width
+    if kind in ("load", "store"):
+        value = (_load_value(width, signed) if kind == "load"
+                 else _store_value(width))
+        return kind, _inline_format(expr), _inline_format(value), width
+    if kind in ("alu", "branch", "jump"):
+        return kind, _inline_format(expr), "", width
+    live, dead = ("\n".join(_closure_body(sem, rd_live)) for rd_live in (True, False))
+    return kind, _inline_format(live), _inline_format(dead), width
 
 
 #: A whole expression that adds a zero offset to a register, then masks.
@@ -1312,173 +1320,10 @@ def _lit(template: str, operands: dict) -> str:
 #: Names templates may call, bound in both emitters' generated code.
 _TEMPLATE_GLOBALS = {"FB": int.from_bytes, "NOP": _nop, "EcallTrap": EcallTrap,
                      "BreakpointTrap": BreakpointTrap, "_div": _div,
-                     "_rem": _rem, "_divw": _divw, "_remw": _remw}
+                     "_rem": _rem, "_divw": _divw, "_remw": _remw,
+                     "ILLEGAL_VTYPE": _illegal_vtype}
 
 _BINDERS = _emit_binders()
 _INLINE = {m: _inline_template(sem) for m, sem in _SEMANTICS.items()}
 _PCREL_INLINE = _inline_format(_PCREL)
 
-
-# -- vector -------------------------------------------------------------------
-
-def _exec_vsetvli(cpu: Cpu, i: Instruction):
-    from repro.isa.encoding import decode_vtype
-
-    sew = decode_vtype(i.imm)
-    if i.rs1 == 0:
-        # rs1=x0: AVL = ~0 (vl = VLMAX) per the RVV spec.
-        avl = cpu.vector.vlen // sew
-    else:
-        avl = cpu.get_reg(i.rs1)
-    vl = cpu.vector.set_vl(avl, sew)
-    cpu.set_reg(i.rd, vl)
-
-
-def _exec_vload(width: int):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        base = cpu.get_reg(i.rs1)
-        step = width // 8
-        for idx in range(vu.vl):
-            value = int.from_bytes(cpu.space.read(base + idx * step, step), "little")
-            vu.write_elem(i.vd, idx, value)
-    return handler
-
-
-def _exec_vstore(width: int):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        base = cpu.get_reg(i.rs1)
-        step = width // 8
-        for idx in range(vu.vl):
-            cpu.space.write(base + idx * step, (vu.read_elem(i.vd, idx) & ((1 << width) - 1)).to_bytes(step, "little"))
-    return handler
-
-
-def _vv(op):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), vu.read_elem(i.vs1, idx)))
-    return handler
-
-
-def _vx(op):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        x = cpu.get_reg(i.rs1)
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), x))
-    return handler
-
-
-def _vv_sew(op):
-    """Elementwise op that needs the SEW (shifts, signed compares)."""
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        sew = vu.sew
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), vu.read_elem(i.vs1, idx), sew))
-    return handler
-
-
-def _vx_sew(op):
-    def handler(cpu: Cpu, i: Instruction):
-        vu = cpu.vector
-        sew = vu.sew
-        x = cpu.get_reg(i.rs1)
-        for idx in range(vu.vl):
-            vu.write_elem(i.vd, idx, op(vu.read_elem(i.vs2, idx), x, sew))
-    return handler
-
-
-def _smin(a: int, b: int, sew: int) -> int:
-    sa, sb = sign_extend(a, sew), sign_extend(b, sew)
-    return a if sa <= sb else b
-
-
-def _smax(a: int, b: int, sew: int) -> int:
-    sa, sb = sign_extend(a, sew), sign_extend(b, sew)
-    return a if sa >= sb else b
-
-
-def _vsra(a: int, b: int, sew: int) -> int:
-    return sign_extend(a, sew) >> (b & (sew - 1))
-
-
-def _exec_vmv_x_s(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    cpu.set_reg(i.rd, sign_extend(vu.read_elem(i.vs2, 0), vu.sew) & _MASK64)
-
-
-_exec_vadd_vx = _vx(lambda a, x: a + x)
-
-
-def _exec_vadd_vi(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    for idx in range(vu.vl):
-        vu.write_elem(i.vd, idx, vu.read_elem(i.vs2, idx) + i.imm)
-
-
-def _exec_vmacc(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    for idx in range(vu.vl):
-        vu.write_elem(
-            i.vd, idx,
-            vu.read_elem(i.vd, idx) + vu.read_elem(i.vs1, idx) * vu.read_elem(i.vs2, idx),
-        )
-
-
-def _exec_vmv_v_x(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    x = cpu.get_reg(i.rs1)
-    for idx in range(vu.vl):
-        vu.write_elem(i.vd, idx, x)
-
-
-def _exec_vmv_v_i(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    for idx in range(vu.vl):
-        vu.write_elem(i.vd, idx, i.imm)
-
-
-def _exec_vredsum(cpu: Cpu, i: Instruction):
-    vu = cpu.vector
-    total = vu.read_elem(i.vs1, 0)
-    for idx in range(vu.vl):
-        total += vu.read_elem(i.vs2, idx)
-    vu.write_elem(i.vd, 0, total)
-
-
-_VECTOR_HANDLERS: dict[str, Callable] = {
-    "vsetvli": _exec_vsetvli,
-    "vle32.v": _exec_vload(32),
-    "vle64.v": _exec_vload(64),
-    "vse32.v": _exec_vstore(32),
-    "vse64.v": _exec_vstore(64),
-    "vadd.vv": _vv(lambda a, b: a + b),
-    "vsub.vv": _vv(lambda a, b: a - b),
-    "vmul.vv": _vv(lambda a, b: a * b),
-    "vand.vv": _vv(lambda a, b: a & b),
-    "vor.vv": _vv(lambda a, b: a | b),
-    "vxor.vv": _vv(lambda a, b: a ^ b),
-    "vadd.vx": _exec_vadd_vx,
-    "vadd.vi": _exec_vadd_vi,
-    "vsub.vx": _vx(lambda a, x: a - x),
-    "vmul.vx": _vx(lambda a, x: a * x),
-    "vmin.vv": _vv_sew(_smin),
-    "vmax.vv": _vv_sew(_smax),
-    "vminu.vv": _vv(lambda a, b: min(a, b)),
-    "vmaxu.vv": _vv(lambda a, b: max(a, b)),
-    "vsll.vv": _vv_sew(lambda a, b, sew: a << (b & (sew - 1))),
-    "vsll.vx": _vx_sew(lambda a, x, sew: a << (x & (sew - 1))),
-    "vsrl.vv": _vv_sew(lambda a, b, sew: a >> (b & (sew - 1))),
-    "vsrl.vx": _vx_sew(lambda a, x, sew: a >> (x & (sew - 1))),
-    "vsra.vv": _vv_sew(_vsra),
-    "vsra.vx": _vx_sew(_vsra),
-    "vmacc.vv": _exec_vmacc,
-    "vmv.v.x": _exec_vmv_v_x,
-    "vmv.v.i": _exec_vmv_v_i,
-    "vmv.x.s": _exec_vmv_x_s,
-    "vredsum.vs": _exec_vredsum,
-}

@@ -2,8 +2,9 @@
 
 Hypothesis generates small branchy loop programs over every
 register-register, register-immediate and W-form mnemonic the assembler
-accepts (data-dependent branches force guard side exits, optional
-vector episodes exercise the compiled vector fast paths) and runs each
+accepts (data-dependent branches force guard side exits; optional
+vector episodes load, apply one elementwise, move or reduction op, and
+store, at e32 or e64) and runs each
 one three ways — pure interpreter, block tier, trace tier — both to
 completion and under a budget that expires mid-trace.  Registers, pc,
 instret, cycles, and the data segment must match exactly in every mode:
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.elf.builder import ProgramBuilder
 from repro.elf.loader import make_process
-from repro.isa.assembler import _RRI, _RRR
+from repro.isa.assembler import _RRI, _RRR, _VVV, _VVX
 from repro.isa.extensions import RV64GCV
 from repro.sim.faults import SimFault, SimulationLimitExceeded
 from repro.sim.machine import Core, Kernel
@@ -30,6 +31,8 @@ RR_OPS = tuple(sorted(_RRR))
 IMM_OPS = tuple(sorted(_RRI))
 SHIFT_BITS = {"slli": 6, "srli": 6, "srai": 6, "slliw": 5, "srliw": 5, "sraiw": 5}
 REGS = ("a2", "a3", "a4", "a5", "t3", "t4")
+#: Every elementwise, move and reduction vector mnemonic.
+V_OPS = tuple(sorted(_VVV | _VVX | {"vadd.vi", "vmv.v.x", "vmv.v.i", "vmv.x.s"}))
 
 
 @st.composite
@@ -53,17 +56,32 @@ def mem_stmt(draw):
 
 
 @st.composite
+def vector_stmt(draw):
+    op = draw(st.sampled_from(V_OPS))
+    if op in _VVV:  # elementwise .vv, vmacc.vv, vredsum.vs
+        return f"{op} v2, v1, {draw(st.sampled_from(('v1', 'v2')))}"
+    if op in _VVX:
+        return f"{op} v2, v1, {draw(st.sampled_from(REGS))}"
+    if op == "vmv.x.s":
+        return f"vmv.x.s {draw(st.sampled_from(REGS))}, v1"
+    if op == "vmv.v.x":
+        return f"vmv.v.x v2, {draw(st.sampled_from(REGS))}"
+    imm = draw(st.integers(min_value=-16, max_value=15))
+    return f"vadd.vi v2, v1, {imm}" if op == "vadd.vi" else f"vmv.v.i v2, {imm}"
+
+
+@st.composite
 def vector_episode(draw):
-    avl = draw(st.integers(min_value=1, max_value=4))
-    op = draw(st.sampled_from(("vadd.vv", "vsub.vv", "vmul.vv", "vxor.vv")))
+    sew = draw(st.sampled_from((32, 64)))
+    avl = draw(st.integers(min_value=1, max_value=8))
     voff = draw(st.integers(min_value=0, max_value=3)) * 64
     return "\n".join([
         f"    li t0, {avl}",
-        "    vsetvli t0, t0, e64",
+        f"    vsetvli t0, t0, e{sew}",
         f"    addi t1, s1, {voff}",
-        "    vle64.v v1, (t1)",
-        f"    {op} v2, v1, v1",
-        "    vse64.v v2, (t1)",
+        f"    vle{sew}.v v1, (t1)",
+        f"    {draw(vector_stmt())}",
+        f"    vse{sew}.v v2, (t1)",
     ])
 
 

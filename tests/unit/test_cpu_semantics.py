@@ -949,7 +949,7 @@ VECTOR_RETIRING = sorted(
 def _table_vector_mnemonics() -> set:
     import repro.sim.cpu as cpu_mod
 
-    return set(cpu_mod._VECTOR_HANDLERS)
+    return {m for m in cpu_mod._SEMANTICS if m.startswith("v")}
 
 
 class TestEveryVectorMnemonicOnEveryTier:
@@ -1098,3 +1098,29 @@ class TestEveryVectorMnemonicOnEveryTier:
                 assert cpu.counters["trace_instret"] > 0, tier
             seen[tier] = cpu.cycles
         assert len(set(seen.values())) == 1, seen
+
+    def test_empty_store_does_not_open_a_read_only_segment(self):
+        """Passes with vl = 0 store nothing, so they check no permission;
+        the trace tier must not let such a pass enable the bulk copy into
+        a read-only segment that a later pass with vl > 0 would use."""
+        rodata = DATA + DATA_SIZE
+        program = assemble("\n".join([
+            "top:", f"    sltiu x6, {_x(COUNTER)}, 2",   # 1 on the last pass
+            "    slli x6, x6, 2",                          # AVL 4, else 0
+            "    vsetvli x0, x6, e64",
+            "op:", f"    vse64.v v1, ({_x(V_BASE)})",
+            f"    addi {_x(COUNTER)}, {_x(COUNTER)}, -1",
+            f"    bne {_x(COUNTER)}, x0, top",
+            "    ebreak", ""]), base=TEXT)
+        regs = list(INIT_REGS)
+        regs[COUNTER] = PASSES
+        regs[V_BASE] = rodata
+        for tier in TIERS:
+            cpu = _tier_cpu(program.code, tier)
+            cpu.space.map(".rodata", rodata, bytearray(VREG_BYTES), Perm.R)
+            _restart(cpu, regs).vector.regs[1][:] = b"\xff" * VREG_BYTES
+            fault = _run_tier(cpu, tier)
+            assert isinstance(fault, SegmentationFault), (tier, fault)
+            assert fault.pc == cpu.pc == program.labels["op"], tier
+            assert cpu.regs[COUNTER] == 1, tier
+            assert bytes(cpu.space.segment_at(rodata).data) == bytes(VREG_BYTES), tier

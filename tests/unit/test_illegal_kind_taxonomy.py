@@ -20,6 +20,7 @@ from repro.core.runtime import ChimeraRuntime
 from repro.core.smile import smile_offset_label
 from repro.elf.builder import ProgramBuilder
 from repro.elf.loader import make_process
+from repro.isa.decoding import decode
 from repro.isa.extensions import RV64GC, RV64GCV
 from repro.sim.cpu import Cpu
 from repro.sim.faults import IllegalInstructionFault, UnrecoverableFault
@@ -81,6 +82,25 @@ _start:
     ]
     assert regions, "vector workload produced no SMILE trampolines"
     return runtime, kernel, proc, cpu, regions[0][0]
+
+
+def vsetvli_binary(vtype: str):
+    """A loop hot enough to compile a trace, then ``vsetvli`` at ``bad``."""
+    b = ProgramBuilder("taxonomy-vtype")
+    b.set_text(f"""
+_start:
+    li s1, 8
+top:
+    addi s1, s1, -1
+    bnez s1, top
+    li a1, 2
+bad:
+    vsetvli t0, a1, {vtype}
+    li a7, 93
+    li a0, 0
+    ecall
+""")
+    return b.build()
 
 
 class TestLongPrefix:
@@ -154,6 +174,38 @@ class TestUnknown:
         cpu.pc = fault.pc
         assert not runtime.handle_fault(kernel, proc, cpu, fault)
         assert runtime.stats.runtime_rewrites == 0
+
+    @pytest.mark.parametrize("vtype", ["e8", "e16", "0x38"])
+    def test_vsetvli_with_a_sew_the_unit_lacks(self, vtype):
+        """A vsetvli the decoder accepts but whose SEW the vector unit
+        lacks (e8, e16, a reserved vsew) is an unknown instruction on
+        every tier: the fault is at the vsetvli, and it retires nothing."""
+        binary = vsetvli_binary(vtype)
+        bad = binary.symbol_addr("bad")
+        text = binary.section(".text")
+        instr = decode(text.data, bad - text.addr, addr=bad)
+        assert instr.mnemonic == "vsetvli"
+        seen = set()
+        for block_cache, trace_cache in ((False, False), (True, False), (True, True)):
+            kernel = Kernel(block_cache=block_cache, trace_cache=trace_cache,
+                            trace_threshold=1)
+            cpu = kernel.make_cpu(make_process(binary), Core(0, RV64GCV))
+            with pytest.raises(IllegalInstructionFault) as exc:
+                cpu.run(10_000)
+            assert exc.value.kind == "unknown"
+            assert exc.value.pc == cpu.pc == bad
+            assert cpu.get_reg(5) == 0  # t0: vsetvli's rd, never written
+            assert (cpu.vector.vl, cpu.vector.sew) == (0, 64)
+            if trace_cache:
+                assert cpu.counters["trace_instret"] > 0
+            seen.add((cpu.instret, cpu.cycles))
+        assert len(seen) == 1, seen
+
+    def test_kernel_run_of_an_unsupported_vsetvli_is_a_structured_fault(self):
+        result = Kernel().run(make_process(vsetvli_binary("e8")), Core(0, RV64GCV))
+        assert not result.ok
+        assert isinstance(result.fault, IllegalInstructionFault)
+        assert result.fault.kind == "unknown"
 
 
 class TestUnsupportedExtension:
