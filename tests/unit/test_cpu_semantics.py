@@ -860,11 +860,13 @@ def _image(lanes, sew: int) -> bytes:
 
 class VCase(NamedTuple):
     """One vector instruction shape: its text, the vector registers each
-    pass reloads, and the model's effect on ``(x, v, mem, sew, vl)``."""
+    pass reloads, the model's effect on ``(x, v, mem, sew, vl)``, and
+    the offset of the vle/vse base from VMEM."""
 
     body: str
     vregs: Sequence[int]
     effect: Callable
+    offset: int = 0
 
 
 def _velem_cases(m):
@@ -885,15 +887,12 @@ def _velem_cases(m):
             a, d = _lanes(v[vs2], sew), _lanes(v[vd], sew)
             b = (_lanes(v[vs1], sew) if vs1 is not None
                  else [x[X_SRC] if form == "vx" else imm] * len(a))
-            for i in range(vl):
-                if m == "vmacc.vv":
-                    d[i] = d[i] + b[i] * a[i]
-                elif m == "vredsum.vs":
-                    d[0] = (d[0] if i else b[0]) + a[i]
-                else:
-                    d[i] = f(a[i], b[i], sew)
-            if m == "vredsum.vs" and not vl:
-                d[0] = b[0]
+            if m == "vredsum.vs":
+                d[0] = b[0] + sum(a[:vl])
+            elif m == "vmacc.vv":
+                d[:vl] = [d[i] + b[i] * a[i] for i in range(vl)]
+            else:
+                d[:vl] = [f(a[i], b[i], sew) for i in range(vl)]
             v[vd] = _image(d, sew)
         yield VCase(f"    {m} v{vd}, v{vs2}, {src}",
                     tuple(r for r in (vd, vs2, vs1) if r is not None), effect)
@@ -929,15 +928,15 @@ def _vmem_cases(m):
                 else:
                     mem[at:at + w] = (d[i] & ((1 << bits) - 1)).to_bytes(w, "little")
             v[3] = _image(d, sew)
-        yield VCase(f"    {m} v3, ({_x(V_BASE)})", (3,), effect), off
+        yield VCase(f"    {m} v3, ({_x(V_BASE)})", (3,), effect, off)
 
 
 def _vector_cases(m):
     if m in V_MEMORY:
         return list(_vmem_cases(m))
     if m.startswith("vmv."):
-        return [(case, 0) for case in _vmove_cases(m)]
-    return [(case, 0) for case in _velem_cases(m)]
+        return list(_vmove_cases(m))
+    return list(_velem_cases(m))
 
 
 VECTOR_RETIRING = sorted(
@@ -959,7 +958,7 @@ class TestEveryVectorMnemonicOnEveryTier:
     @pytest.mark.parametrize("mnemonic", VECTOR_RETIRING)
     def test_matches_model(self, mnemonic):
         for sew in SEWS:
-            for case, off in _vector_cases(mnemonic):
+            for case in _vector_cases(mnemonic):
                 reload = sorted(set(case.vregs))
                 program = assemble("\n".join([
                     "top:", "    vsetvli x0, x0, e64",
@@ -975,18 +974,18 @@ class TestEveryVectorMnemonicOnEveryTier:
                 vlmax = VLEN // sew
                 for avl in (vlmax, 3, 0):
                     for starts, xval in VSETS:
-                        self._check(case, reload, off, sew, avl, starts, xval,
+                        self._check(case, reload, sew, avl, starts, xval,
                                     cpus, lab)
 
     @staticmethod
-    def _check(case, reload, off, sew, avl, starts, xval, cpus, lab):
+    def _check(case, reload, sew, avl, starts, xval, cpus, lab):
         edge = VEDGE[sew]
         n = VLEN // sew
         regs = list(INIT_REGS)
         regs[COUNTER] = PASSES
         regs[AVL] = avl
         regs[X_SRC] = xval
-        regs[V_BASE] = VMEM + off
+        regs[V_BASE] = VMEM + case.offset
         data = bytearray(DATA_BYTES)
         v = [bytes(VREG_BYTES)] * 32
         for i, r in enumerate(reload):
